@@ -56,16 +56,33 @@ import (
 // usable for flag-validation errors that fire before the replacement.
 var logger = slog.New(slog.NewTextHandler(os.Stderr, nil))
 
+// optionFlags registers the flags that set the experiment scale and the
+// simulated system on fs, and returns the function that builds the
+// experiment options from their parsed values. The defaults are the paper
+// geometry on any host: one execution unit per channel.
+func optionFlags(fs *flag.FlagSet) func() experiments.Options {
+	n := fs.Int("n", 800_000, "requests per application trace")
+	warmup := fs.Float64("warmup", 0.2, "fraction of each trace run before statistics start (0 < w < 0.9; negative disables)")
+	parallel := fs.Bool("parallel", true, "run each simulation's channel slices concurrently (-parallel=false forces the serial engine)")
+	subshards := fs.Int("subshards", 1, "address-hashed sub-shards per channel for every run (power of two; 0 and 1 = the unsharded paper geometry; values > 1 change the simulated geometry and scale each run past 4 workers)")
+	sampleEvery := fs.Uint64("sample-every", 0, "emit a windowed time-series sample every N requests inside each run (0 disables)")
+	artifactDir := fs.String("artifact-dir", "", "write one JSON artifact per (app, prefetcher) sweep cell into this directory")
+	return func() experiments.Options {
+		return experiments.Options{
+			Requests:    *n,
+			Warmup:      *warmup,
+			SampleEvery: *sampleEvery,
+			ArtifactDir: *artifactDir,
+			Serial:      !*parallel,
+			SubShards:   *subshards,
+		}
+	}
+}
+
 func main() {
-	n := flag.Int("n", 800_000, "requests per application trace")
-	warmup := flag.Float64("warmup", 0.2, "fraction of each trace run before statistics start (0 < w < 0.9; negative disables)")
-	parallel := flag.Bool("parallel", true, "run each simulation's channel slices concurrently (-parallel=false forces the serial engine)")
-	subshards := flag.Int("subshards", 0, "address-hashed sub-shards per channel for every run (power of two; 0 = auto from GOMAXPROCS, 1 = the unsharded paper geometry; values > 1 change the simulated geometry and scale each run past 4 workers)")
-	stream := flag.Bool("stream", true, "stream records to each engine in O(chunk) memory (bit-identical reports; -stream=false materializes traces)")
+	options := optionFlags(flag.CommandLine)
 	run := flag.String("run", "all", "experiment id (all, fig2, fig4, fig5, fig7, fig8, fig9, fig9b, fig10, tab-ipc, tab-traffic, tab-storage, cache-study, abl-coord, abl-dist, abl-pt, csv)")
 	jsonPath := flag.String("json", "", "write a combined JSON run artifact to this path")
-	artifactDir := flag.String("artifact-dir", "", "write one JSON artifact per (app, prefetcher) sweep cell into this directory")
-	sampleEvery := flag.Uint64("sample-every", 0, "emit a windowed time-series sample every N requests inside each run (0 disables)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile (runtime/pprof) to this path")
 	memprofile := flag.String("memprofile", "", "write a heap profile (runtime/pprof) to this path")
 	validate := flag.String("validate-artifact", "", "read and validate the JSON artifact at this path, then exit (CI smoke check)")
@@ -147,19 +164,8 @@ func main() {
 		defer stop()
 	}
 
-	if *subshards == 0 {
-		*subshards = sim.AutoSubShards()
-	}
-	opts := experiments.Options{
-		Requests:         *n,
-		Warmup:           *warmup,
-		SampleEvery:      *sampleEvery,
-		ArtifactDir:      *artifactDir,
-		Serial:           !*parallel,
-		SubShards:        *subshards,
-		NoStream:         !*stream,
-		ExtraPrefetchers: extras,
-	}
+	opts := options()
+	opts.ExtraPrefetchers = extras
 	if *debugAddr != "" {
 		counters := &events.RunCounters{}
 		counters.Start()
@@ -185,9 +191,9 @@ func main() {
 	}
 
 	man := obs.NewManifest("experiments")
-	man.Requests = *n
-	man.Warmup = *warmup
-	man.SampleEvery = *sampleEvery
+	man.Requests = opts.Requests
+	man.Warmup = opts.Warmup
+	man.SampleEvery = opts.SampleEvery
 	start := time.Now()
 
 	// Each case prints its text tables and, where natural, contributes
@@ -348,13 +354,11 @@ func runFarm(w io.Writer, gridPath string, repeats int, opts experiments.Options
 			Warmup:      warmup,
 			Serial:      opts.Serial,
 			SubShards:   opts.SubShards,
-			NoStream:    opts.NoStream,
 			SampleEvery: opts.SampleEvery,
 		},
 		ArtifactDir: opts.ArtifactDir,
 		Counters:    opts.Counters,
 		Verbose:     os.Stderr,
-		Materialize: experiments.TraceFor,
 	}
 	res, runErr := runner.Run(ctx)
 	if res != nil {

@@ -50,7 +50,27 @@ import (
 // usable for flag-validation errors that fire before the replacement.
 var logger = slog.New(slog.NewTextHandler(os.Stderr, nil))
 
+// engineFlags registers the flags that shape the engine and the simulated
+// system on fs, and returns the function that builds the run's base
+// sim.Config from their parsed values. The defaults are the paper geometry
+// on any host: one execution unit per channel.
+func engineFlags(fs *flag.FlagSet) func() sim.Config {
+	parallel := fs.Bool("parallel", true, "run the four channel slices concurrently (bit-identical reports; -parallel=false forces the serial engine)")
+	subshards := fs.Int("subshards", 1, "address-hashed sub-shards per channel (power of two; 0 and 1 = the unsharded paper geometry; values > 1 change the simulated geometry — see the report's parallel: line — and scale -parallel past 4 workers)")
+	sampleEvery := fs.Uint64("sample-every", 0, "emit a windowed time-series sample every N requests (0 disables)")
+	sampleCycles := fs.Uint64("sample-cycles", 0, "emit a windowed time-series sample every N trace cycles (0 disables)")
+	return func() sim.Config {
+		cfg := sim.DefaultConfig()
+		cfg.ParallelChannels = *parallel
+		cfg.SubShards = *subshards
+		cfg.SampleEvery = *sampleEvery
+		cfg.SampleEveryCycles = *sampleCycles
+		return cfg
+	}
+}
+
 func main() {
+	engineConfig := engineFlags(flag.CommandLine)
 	app := flag.String("app", "CFM", "catalog application abbreviation (see Table 2)")
 	traceFile := flag.String("trace", "", "binary trace file (overrides -app)")
 	pf := flag.String("pf", "planaria", fmt.Sprintf("prefetcher %v", sim.PrefetcherNames()))
@@ -58,13 +78,9 @@ func main() {
 	n := flag.Int("n", 800_000, "requests to generate when using -app")
 	verbose := flag.Bool("v", false, "print detailed DRAM/cache counters")
 	warmup := flag.Float64("warmup", 0, "fraction of the trace run before statistics start (0 disables)")
-	parallel := flag.Bool("parallel", true, "run the four channel slices concurrently (bit-identical reports; -parallel=false forces the serial engine)")
-	subshards := flag.Int("subshards", 0, "address-hashed sub-shards per channel (power of two; 0 = auto from GOMAXPROCS, 1 = the unsharded paper geometry; values > 1 change the simulated geometry — see the report's parallel: line — and scale -parallel past 4 workers)")
 	stream := flag.Bool("stream", true, "stream records to the engine in O(chunk) memory instead of materializing the trace (bit-identical reports; -stream=false materializes)")
 	useMmap := flag.Bool("mmap", true, "memory-map the -trace file and decode records straight from the mapping (falls back to buffered reads when mapping is unavailable; -mmap=false forces the buffered reader)")
 	jsonPath := flag.String("json", "", "write a JSON run artifact (manifest + report + time series) to this path")
-	sampleEvery := flag.Uint64("sample-every", 0, "emit a windowed time-series sample every N requests (0 disables)")
-	sampleCycles := flag.Uint64("sample-cycles", 0, "emit a windowed time-series sample every N trace cycles (0 disables)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile (runtime/pprof) to this path")
 	memprofile := flag.String("memprofile", "", "write a heap profile (runtime/pprof) to this path")
 	traceOut := flag.String("trace-out", "", "record decision events and write a Chrome trace-event JSON (Perfetto-loadable) to this path")
@@ -166,15 +182,8 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	cfg := sim.DefaultConfig()
+	cfg := engineConfig()
 	cfg.NewPrefetcher = factory
-	cfg.SampleEvery = *sampleEvery
-	cfg.SampleEveryCycles = *sampleCycles
-	cfg.ParallelChannels = *parallel
-	if *subshards == 0 {
-		*subshards = sim.AutoSubShards()
-	}
-	cfg.SubShards = *subshards
 	// Event tracing: -trace-out needs the per-channel rings; -attrib and
 	// -debug-addr only need the attribution counters (ring size 0).
 	if *traceOut != "" {
@@ -232,7 +241,7 @@ func main() {
 	man.Workload, man.Prefetcher = name, eng.PrefetcherName()
 	man.TraceLen, man.Requests = records, records
 	man.Warmup = *warmup
-	man.SampleEvery = *sampleEvery
+	man.SampleEvery = cfg.SampleEvery
 	man.Seed = seed
 	start := time.Now()
 

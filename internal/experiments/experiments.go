@@ -6,8 +6,11 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/analysis"
 	"repro/internal/events"
@@ -37,12 +40,6 @@ type Options struct {
 	// the simulated geometry (reports record it) and let a parallel run
 	// scale past one worker per channel.
 	SubShards int
-
-	// NoStream materializes each trace in memory (via the byte-capped
-	// TraceFor cache) before running it, instead of the default O(chunk)
-	// streaming from the generator. Reports are bit-identical either way;
-	// the switch exists for debugging and A/B benchmarking.
-	NoStream bool
 
 	// SampleEvery enables windowed time-series sampling inside every
 	// simulated run: one metrics sample per N trace records (zero
@@ -120,15 +117,11 @@ func (o Options) warmup() float64 {
 }
 
 // runProfile drives one app through an engine with the options' warmup
-// window discarded from the statistics. By default the records stream
-// straight from the workload generator — O(chunk) memory regardless of
-// opts.Requests — and the report is bit-identical to a materialized
-// RunWarm (pinned by the sim equivalence tests). NoStream materializes
-// through the byte-capped TraceFor cache instead.
+// window discarded from the statistics. The records stream straight from
+// the workload generator — O(chunk) memory regardless of opts.Requests —
+// and the report is bit-identical to a materialized RunWarm (pinned by the
+// sim equivalence tests).
 func runProfile(eng *sim.Engine, p workloads.Profile, opts Options) (metrics.Report, error) {
-	if opts.NoStream {
-		return eng.RunWarm(TraceFor(p, opts.requests()), p.Abbr, opts.warmup())
-	}
 	return eng.RunWarmStream(p.Stream(opts.requests()), p.Abbr, opts.warmup())
 }
 
@@ -164,18 +157,18 @@ func RunOne(p workloads.Profile, pf string, opts Options) (metrics.Report, error
 // progress (cmd/experiments) can still write artifacts for the completed
 // cells.
 func Sweep(prefetchers []string, opts Options) (map[string]map[string]metrics.Report, error) {
+	_, out, err := sweep(prefetchers, opts)
+	return out, err
+}
+
+// sweep is Sweep with the farm's result, whose counts (engine runs,
+// generated traces) the bundle-plan tests pin.
+func sweep(prefetchers []string, opts Options) (*sweepfarm.Result, map[string]map[string]metrics.Report, error) {
 	// The old pool tolerated duplicates (map writes made them redundant)
 	// and an empty set (empty sweep); keep both behaviours.
-	uniq := make([]string, 0, len(prefetchers))
-	seen := make(map[string]bool, len(prefetchers))
-	for _, pf := range prefetchers {
-		if !seen[pf] {
-			seen[pf] = true
-			uniq = append(uniq, pf)
-		}
-	}
+	uniq := union(prefetchers)
 	if len(uniq) == 0 {
-		return map[string]map[string]metrics.Report{}, nil
+		return &sweepfarm.Result{}, map[string]map[string]metrics.Report{}, nil
 	}
 	runner := &sweepfarm.Runner{
 		Grid: sweepfarm.Grid{Prefetchers: uniq},
@@ -184,15 +177,13 @@ func Sweep(prefetchers []string, opts Options) (map[string]map[string]metrics.Re
 			Warmup:      opts.warmup(),
 			Serial:      opts.Serial,
 			SubShards:   opts.SubShards,
-			NoStream:    opts.NoStream,
 			SampleEvery: opts.SampleEvery,
 		},
-		Counters:    opts.Counters,
-		Materialize: TraceFor,
+		Counters: opts.Counters,
 	}
 	res, runErr := runner.Run(context.Background())
 	if res == nil {
-		return nil, runErr
+		return nil, nil, runErr
 	}
 	out := res.ReportGrid("")
 	var errs []error
@@ -207,7 +198,52 @@ func Sweep(prefetchers []string, opts Options) (map[string]map[string]metrics.Re
 			errs = append(errs, werr)
 		}
 	}
-	return out, errors.Join(errs...)
+	return res, out, errors.Join(errs...)
+}
+
+// union returns the distinct names of the given sets, in first-seen order.
+func union(sets ...[]string) []string {
+	var out []string
+	seen := map[string]bool{}
+	for _, set := range sets {
+		for _, name := range set {
+			if !seen[name] {
+				seen[name] = true
+				out = append(out, name)
+			}
+		}
+	}
+	return out
+}
+
+// subset returns the reports of the named prefetchers, for every app that
+// has at least one of them.
+func subset(reps map[string]map[string]metrics.Report, set []string) map[string]map[string]metrics.Report {
+	out := make(map[string]map[string]metrics.Report)
+	for app, row := range reps {
+		for _, pf := range set {
+			if rep, ok := row[pf]; ok {
+				if out[app] == nil {
+					out[app] = make(map[string]metrics.Report)
+				}
+				out[app][pf] = rep
+			}
+		}
+	}
+	return out
+}
+
+// complete reports whether reps holds every catalog app's report for every
+// prefetcher of set.
+func complete(reps map[string]map[string]metrics.Report, set []string) bool {
+	for _, app := range workloads.Abbrs() {
+		for _, pf := range set {
+			if _, ok := reps[app][pf]; !ok {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // EvalPrefetchers is the prefetcher set of Figures 7, 8 and 10.
@@ -241,12 +277,54 @@ func appOrder(m map[string]map[string]metrics.Report) []string {
 	return out
 }
 
+// fig5Distances are Figure 5's page-distance thresholds.
+var fig5Distances = []uint64{4, 8, 16, 32, 64}
+
+// traceShape is one app's trace-shape statistics: Figure 4's overlap rate
+// and Figure 5's learnable-neighbour proportion per fig5Distances entry.
+type traceShape struct {
+	overlap   float64
+	neighbors []float64
+}
+
+// traceShapes computes the statistics of Figure 4 (overlap) and/or Figure
+// 5 (neighbors) for every catalog app, in catalog order: each app's trace
+// is generated once and analysed on a pool of GOMAXPROCS workers, so at
+// most that many traces are in memory at a time.
+func traceShapes(opts Options, overlap, neighbors bool) []traceShape {
+	apps := workloads.Catalog()
+	out := make([]traceShape, len(apps))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(apps)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(apps); i = int(next.Add(1)) - 1 {
+				t := apps[i].Generate(opts.requests())
+				if overlap {
+					out[i].overlap = analysis.OverlapRate(t)
+				}
+				if neighbors {
+					out[i].neighbors = analysis.NeighborProportion(t, fig5Distances, 4)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	return out
+}
+
 // Fig4 computes the per-app overlap rate (paper: average > 80 %).
 func Fig4(w io.Writer, opts Options) (avg float64) {
+	return fig4Table(w, traceShapes(opts, true, false))
+}
+
+func fig4Table(w io.Writer, shapes []traceShape) (avg float64) {
 	fmt.Fprintf(w, "\n== Figure 4: footprint overlap rate ==\n")
 	var rates []float64
-	for _, p := range workloads.Catalog() {
-		r := analysis.OverlapRate(TraceFor(p, opts.requests()))
+	for i, p := range workloads.Catalog() {
+		r := shapes[i].overlap
 		rates = append(rates, r)
 		fmt.Fprintf(w, "%-6s %6.1f%%\n", p.Abbr, 100*r)
 	}
@@ -258,7 +336,11 @@ func Fig4(w io.Writer, opts Options) (avg float64) {
 // Fig5 computes the learnable-neighbour proportion per distance threshold
 // (paper: 26.95 % at distance 4, 39.26 % at distance 64 on average).
 func Fig5(w io.Writer, opts Options) (avgAt4, avgAt64 float64) {
-	dists := []uint64{4, 8, 16, 32, 64}
+	return fig5Table(w, traceShapes(opts, false, true))
+}
+
+func fig5Table(w io.Writer, shapes []traceShape) (avgAt4, avgAt64 float64) {
+	dists := fig5Distances
 	fmt.Fprintf(w, "\n== Figure 5: learnable neighbouring pages ==\n")
 	fmt.Fprintf(w, "%-6s", "app")
 	for _, d := range dists {
@@ -267,12 +349,11 @@ func Fig5(w io.Writer, opts Options) (avgAt4, avgAt64 float64) {
 	fmt.Fprintln(w)
 	sums := make([]float64, len(dists))
 	n := 0
-	for _, p := range workloads.Catalog() {
-		props := analysis.NeighborProportion(TraceFor(p, opts.requests()), dists, 4)
+	for i, p := range workloads.Catalog() {
 		fmt.Fprintf(w, "%-6s", p.Abbr)
-		for i, pr := range props {
+		for k, pr := range shapes[i].neighbors {
 			fmt.Fprintf(w, "%9.1f%%", 100*pr)
-			sums[i] += pr
+			sums[k] += pr
 		}
 		fmt.Fprintln(w)
 		n++
@@ -295,6 +376,11 @@ func Fig7(w io.Writer, opts Options) (map[string]map[string]metrics.Report, erro
 	if err != nil {
 		return reps, err
 	}
+	fig7Table(w, reps, set)
+	return reps, nil
+}
+
+func fig7Table(w io.Writer, reps map[string]map[string]metrics.Report, set []string) {
 	header(w, "Figure 7: SC hit rate", set)
 	for _, a := range appOrder(reps) {
 		fmt.Fprintf(w, "%-6s", a)
@@ -303,7 +389,6 @@ func Fig7(w io.Writer, opts Options) (map[string]map[string]metrics.Report, erro
 		}
 		fmt.Fprintln(w)
 	}
-	return reps, nil
 }
 
 // Fig8 prints per-app AMAT and the headline reductions (paper: Planaria
@@ -346,6 +431,11 @@ func Fig9(w io.Writer, opts Options) (slpShareAvg float64, slpShare map[string]f
 	if err != nil {
 		return 0, nil, err
 	}
+	slpShareAvg, slpShare = fig9Table(w, reps)
+	return slpShareAvg, slpShare, nil
+}
+
+func fig9Table(w io.Writer, reps map[string]map[string]metrics.Report) (slpShareAvg float64, slpShare map[string]float64) {
 	header(w, "Figure 9: breakdown (AMAT reduction share)", []string{"slp-only", "tlp-only", "slp-share"})
 	slpShare = map[string]float64{}
 	var shares []float64
@@ -365,7 +455,7 @@ func Fig9(w io.Writer, opts Options) (slpShareAvg float64, slpShare map[string]f
 	}
 	slpShareAvg = metrics.Mean(shares)
 	fmt.Fprintf(w, "average SLP share: %.1f%%   (paper: ~80%%)\n", 100*slpShareAvg)
-	return slpShareAvg, slpShare, nil
+	return slpShareAvg, slpShare
 }
 
 // Fig9b prints the in-system breakdown: useful prefetches attributed to
@@ -373,13 +463,26 @@ func Fig9(w io.Writer, opts Options) (slpShareAvg float64, slpShare map[string]f
 // attribution-based view of Figure 9; Fig9 uses the standalone-variant
 // method).
 func Fig9b(w io.Writer, opts Options) (slpShareAvg float64, err error) {
+	// Figure 9b writes no per-cell artifacts of its own.
+	opts.ArtifactDir = ""
+	reps, err := Sweep([]string{fig9bPrefetcher}, opts)
+	slpShareAvg, ok := fig9bTable(w, reps)
+	if !ok {
+		return 0, err
+	}
+	return slpShareAvg, err
+}
+
+// fig9bTable prints Figure 9b from the fig9bPrefetcher cells of reps. It
+// stops at the first app without one and reports false.
+func fig9bTable(w io.Writer, reps map[string]map[string]metrics.Report) (slpShareAvg float64, ok bool) {
 	fmt.Fprintf(w, "\n== Figure 9 (in-system attribution): useful prefetches per sub-prefetcher ==\n")
 	fmt.Fprintf(w, "%-6s %12s %12s %12s\n", "app", "slp", "tlp", "slp-share")
 	var shares []float64
-	for _, p := range workloads.Catalog() {
-		rep, err := RunOne(p, fig9bPrefetcher, opts)
-		if err != nil {
-			return 0, err
+	for _, a := range workloads.Abbrs() {
+		rep, ok := reps[a][fig9bPrefetcher]
+		if !ok {
+			return 0, false
 		}
 		slp := rep.UsefulByOrigin["slp"]
 		tlp := rep.UsefulByOrigin["tlp"]
@@ -388,11 +491,11 @@ func Fig9b(w io.Writer, opts Options) (slpShareAvg float64, err error) {
 			share = float64(slp) / float64(slp+tlp)
 		}
 		shares = append(shares, share)
-		fmt.Fprintf(w, "%-6s %12d %12d %11.1f%%\n", p.Abbr, slp, tlp, 100*share)
+		fmt.Fprintf(w, "%-6s %12d %12d %11.1f%%\n", a, slp, tlp, 100*share)
 	}
 	slpShareAvg = metrics.Mean(shares)
 	fmt.Fprintf(w, "average SLP share of useful prefetches: %.1f%%   (paper: ~80%%)\n", 100*slpShareAvg)
-	return slpShareAvg, nil
+	return slpShareAvg, true
 }
 
 // Fig10 prints per-app memory-system energy overhead vs no prefetcher
@@ -482,40 +585,60 @@ func tableStorage(w io.Writer, name string) (float64, error) {
 	return kb, nil
 }
 
+// bundleSet is the prefetcher set of RunAll's one sweep: the union of the
+// Figure 7, 9 and 9b sets.
+func bundleSet(opts Options) []string {
+	return union(opts.EvalSet(), fig9Prefetchers, []string{fig9bPrefetcher})
+}
+
 // RunAll strings the full evaluation; used by cmd/experiments -run all. It
-// returns the Figure 7 sweep reports so callers can derive artifacts from
-// the same runs the tables printed.
+// prints exactly what Fig4, Fig5, Fig7, Fig8, Fig9, Fig9b, Fig10,
+// TableIPC, TableTraffic and TableStorage print one after another, and
+// returns the Figure 7 reports so callers can derive artifacts from the
+// same runs the tables printed. It runs them as one plan: Figures 4 and 5
+// share one trace-shape pass, and one sweep over the union of the Figure
+// 7, 9 and 9b prefetcher sets simulates each distinct (app, prefetcher)
+// cell once, with all of an app's engines fed by one generated trace.
+//
+// A failed cell stops the output at the first table that needs it. Every
+// error path returns the completed Figure 7 cells, never nil: the sweep has
+// already run, and discarding it would throw away the partial results
+// cmd/experiments writes artifacts from (the same degrade-don't-discard
+// contract Sweep itself keeps). The error joins every failed cell of the
+// plan.
 func RunAll(w io.Writer, opts Options) (map[string]map[string]metrics.Report, error) {
-	Fig4(w, opts)
-	Fig5(w, opts)
-	reps, err := Fig7(w, opts)
-	if err != nil {
+	shapes := traceShapes(opts, true, true)
+	fig4Table(w, shapes)
+	fig5Table(w, shapes)
+	set := opts.EvalSet()
+	grid, err := Sweep(bundleSet(opts), opts)
+	reps := subset(grid, set)
+	if !complete(grid, set) {
 		return reps, err
 	}
+	fig7Table(w, reps, set)
 	Fig8(w, reps)
-	// Every error path below returns reps, never nil: Fig7's sweep has
-	// already completed by this point and discarding it would throw away
-	// the partial results cmd/experiments writes artifacts from (the same
-	// degrade-don't-discard contract Sweep itself keeps).
-	if _, _, err := Fig9(w, opts); err != nil {
+	if !complete(grid, fig9Prefetchers) {
 		return reps, err
 	}
-	if _, err := Fig9b(w, opts); err != nil {
+	fig9Table(w, grid)
+	if _, ok := fig9bTable(w, grid); !ok {
 		return reps, err
 	}
 	Fig10(w, reps)
 	TableIPC(w, reps)
 	TableTraffic(w, reps)
-	if _, err := TableStorage(w); err != nil {
-		return reps, err
+	if _, serr := TableStorage(w); serr != nil {
+		return reps, errors.Join(err, serr)
 	}
-	return reps, nil
+	// Every cell completed; what can remain is an artifact write error.
+	return reps, err
 }
 
 // Fig2 extracts the snapshot timeline of a hot page (rendered as text).
 func Fig2(w io.Writer, opts Options) int {
 	p := workloads.Catalog()[0]
-	t := TraceFor(p, opts.requests())
+	t := p.Generate(opts.requests())
 	hot := analysis.HottestPages(t, 1)
 	if len(hot) == 0 {
 		return 0

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/events"
 	"repro/internal/workloads"
 )
 
@@ -16,19 +17,6 @@ import (
 // ordering, breakdown shares) need enough revisit traffic to stabilise;
 // 150k requests per app is the smallest scale at which they hold reliably.
 func small() Options { return Options{Requests: 150_000} }
-
-func TestTraceForMemoised(t *testing.T) {
-	p, _ := workloads.ByAbbr("CFM")
-	a := TraceFor(p, 1000)
-	b := TraceFor(p, 1000)
-	if &a[0] != &b[0] {
-		t.Fatal("trace not memoised")
-	}
-	c := TraceFor(p, 2000)
-	if len(c) != 2000 {
-		t.Fatal("length key ignored")
-	}
-}
 
 func TestRunOneUnknownPrefetcher(t *testing.T) {
 	p, _ := workloads.ByAbbr("CFM")
@@ -167,6 +155,73 @@ func TestRunAllPartialOnFig9bFailure(t *testing.T) {
 	}
 	if len(reps) != 10 {
 		t.Fatalf("Fig7 sweep discarded on Fig9b failure: %d apps, want 10", len(reps))
+	}
+}
+
+// TestRunAllIsTheFigureSequence pins the bundle plan: RunAll prints, byte
+// for byte, what the figure functions print one after another, returns the
+// same Figure 7 reports, and simulates each of the 6 distinct prefetchers
+// once per app where the sequence simulates 9 runs per app.
+func TestRunAllIsTheFigureSequence(t *testing.T) {
+	const n = 20_000
+	apps := int64(len(workloads.Catalog()))
+
+	var seq bytes.Buffer
+	seqCtr := &events.RunCounters{}
+	opts := Options{Requests: n, Counters: seqCtr}
+	Fig4(&seq, opts)
+	Fig5(&seq, opts)
+	want, err := Fig7(&seq, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	Fig8(&seq, want)
+	if _, _, err := Fig9(&seq, opts); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Fig9b(&seq, opts); err != nil {
+		t.Fatal(err)
+	}
+	Fig10(&seq, want)
+	TableIPC(&seq, want)
+	TableTraffic(&seq, want)
+	if _, err := TableStorage(&seq); err != nil {
+		t.Fatal(err)
+	}
+
+	var all bytes.Buffer
+	allCtr := &events.RunCounters{}
+	got, err := RunAll(&all, Options{Requests: n, Counters: allCtr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if all.String() != seq.String() {
+		t.Fatalf("RunAll output differs from the figure sequence:\n--- sequence\n%s\n--- RunAll\n%s", seq.String(), all.String())
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("RunAll's Figure 7 reports differ from Fig7's")
+	}
+	if r := seqCtr.Records(); r != 9*apps*n {
+		t.Fatalf("figure sequence simulated %d records, want 9 × apps × n = %d", r, 9*apps*n)
+	}
+	if r := allCtr.Records(); r != 6*apps*n {
+		t.Fatalf("RunAll simulated %d records, want 6 × apps × n = %d", r, 6*apps*n)
+	}
+}
+
+// TestBundlePlanCounts: the bundle's one sweep runs 60 engines on 10
+// generated traces, one per app.
+func TestBundlePlanCounts(t *testing.T) {
+	opts := Options{Requests: 5_000}
+	if set := bundleSet(opts); len(set) != 6 {
+		t.Fatalf("bundle set %v, want 6 prefetchers", set)
+	}
+	res, _, err := sweep(bundleSet(opts), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Executed != 60 || res.Traces != 10 {
+		t.Fatalf("bundle sweep ran %d engines on %d traces, want 60 on 10", res.Executed, res.Traces)
 	}
 }
 

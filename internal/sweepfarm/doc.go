@@ -4,18 +4,21 @@
 //
 // A Grid is the cross product (apps × prefetchers × config variants); each
 // cell of the grid runs R seeded repeats. Every (cell, repeat) pair is one
-// job: jobs fan out to a bounded worker pool, each job simulates one full
-// run (internal/sim) and, when an artifact directory is configured,
-// checkpoints its result to disk as a versioned JSON artifact in the
-// internal/obs schema (v3: repeat index, seed and configuration hash in the
-// manifest) the moment it completes.
+// job, and each job simulates one full run (internal/sim). Jobs that
+// simulate the same trace run as a group: their engines run concurrently,
+// fed by one trace.Tee of one generator, and a new group starts while
+// fewer engines than GOMAXPROCS are running. When an artifact directory is
+// configured, each job checkpoints its result to disk as a versioned JSON
+// artifact in the internal/obs schema (v3: repeat index, seed and
+// configuration hash in the manifest) the moment it completes.
 //
 // Seeding is deterministic: repeat 0 keeps the catalog profile's seed — so
 // an R=1 grid reproduces the paper's single-pass point estimates (and the
 // legacy Sweep output) bit for bit — while repeats ≥ 1 derive fresh seeds
-// from the cell key and repeat index alone. Two runs of the same grid
-// therefore simulate exactly the same set of traces, regardless of worker
-// count, interruption or host.
+// from the app, the variant and the repeat index alone. Two runs of the
+// same grid therefore simulate exactly the same set of traces, regardless
+// of worker count, interruption or host, and every prefetcher of one repeat
+// simulates the same trace: the comparison between them is paired.
 //
 // Resume: on startup the runner scans the artifact directory and accepts a
 // job's artifact only when its manifest matches the planned job exactly —

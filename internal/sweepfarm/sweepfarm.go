@@ -12,7 +12,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
-	"sync"
 
 	"repro/internal/events"
 	"repro/internal/metrics"
@@ -30,9 +29,13 @@ type Config struct {
 	Warmup      float64 // resolved warmup fraction in [0, 0.9] (no 0→default sentinel)
 	Serial      bool    // force the single-goroutine engine
 	SubShards   int     // sim.Config.SubShards (simulated geometry)
-	NoStream    bool    // materialize traces instead of streaming
 	SampleEvery uint64  // windowed time-series sampling period
 }
+
+// seedScheme versions SeedFor's derivation of repeat seeds. It is part of
+// Config.Hash, so checkpoints written under an older scheme (version 1
+// seeded repeats r ≥ 1 per prefetcher) are re-executed, not resumed.
+const seedScheme = 2
 
 // normalize clamps the warmup fraction the same way the engine would, so
 // equal effective configurations hash equally.
@@ -51,14 +54,12 @@ func (c Config) normalize() Config {
 
 // Hash returns the configuration fingerprint recorded in artifact
 // manifests (obs.Manifest.ConfigHash, schema v3): a 64-bit FNV-1a over the
-// canonical field encoding, rendered as 16 hex digits. Streaming vs
-// materialized input is excluded — reports are pinned bit-identical either
-// way — so artifacts stay valid across that debugging switch.
+// canonical field encoding and the seed scheme, rendered as 16 hex digits.
 func (c Config) Hash() string {
 	c = c.normalize()
 	h := fnv.New64a()
-	fmt.Fprintf(h, "requests=%d|warmup=%g|serial=%t|subshards=%d|sample=%d",
-		c.Requests, c.Warmup, c.Serial, c.SubShards, c.SampleEvery)
+	fmt.Fprintf(h, "requests=%d|warmup=%g|serial=%t|subshards=%d|sample=%d|seeds=%d",
+		c.Requests, c.Warmup, c.Serial, c.SubShards, c.SampleEvery, seedScheme)
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
@@ -244,16 +245,17 @@ func sanitize(s string) string {
 // SeedFor derives the workload seed of one cell repeat. Repeat 0 keeps the
 // catalog profile's own seed (base), so single-repeat grids reproduce the
 // paper's point estimates — and the legacy Sweep output — bit for bit.
-// Later repeats hash the cell key and repeat index (FNV-1a), independent of
-// everything else, so the same grid always simulates the same trace set.
+// Later repeats hash the app, the variant and the repeat index (FNV-1a),
+// independent of everything else, so the same grid always simulates the
+// same trace set. The prefetcher is deliberately left out: every prefetcher
+// of one repeat simulates the same trace, which pairs their comparison and
+// lets the runner generate that trace once for all of them.
 func SeedFor(key CellKey, repeat int, base int64) int64 {
 	if repeat == 0 {
 		return base
 	}
 	h := fnv.New64a()
 	io.WriteString(h, key.App)
-	h.Write([]byte{0})
-	io.WriteString(h, key.Prefetcher)
 	h.Write([]byte{0})
 	io.WriteString(h, key.Variant)
 	fmt.Fprintf(h, "\x00r%d", repeat)
@@ -300,6 +302,10 @@ type Result struct {
 	Executed int           // jobs simulated in this run
 	Resumed  int           // jobs satisfied from the artifact directory
 	Failed   int           // jobs that errored or were cancelled
+	// Traces counts the workload traces generated: one per group of
+	// executed jobs that share (app, seed, requests), however many
+	// engines the group fed.
+	Traces int
 }
 
 // ReportGrid flattens the named variant's complete cells into the
@@ -331,7 +337,9 @@ type Runner struct {
 	// artifact. Empty disables both (everything runs in memory).
 	ArtifactDir string
 
-	// Workers bounds the pool; 0 means GOMAXPROCS.
+	// Workers bounds concurrency: a new group of jobs (see Run) starts
+	// only while fewer than Workers engines are running. 0 means
+	// GOMAXPROCS.
 	Workers int
 
 	// Counters, when non-nil, receives additive processed-record progress
@@ -343,11 +351,6 @@ type Runner struct {
 	// (resumed/done/failed per job).
 	Verbose io.Writer
 
-	// Materialize supplies traces for NoStream cells (the hook through
-	// which experiments plugs its byte-capped TraceFor cache); nil falls
-	// back to direct generation. Streaming cells never call it.
-	Materialize func(workloads.Profile, int) trace.Trace
-
 	// JobDone, when non-nil, is called after a job's result is
 	// checkpointed and recorded — the hook the resume tests use to cancel
 	// mid-grid at a deterministic point. Called concurrently from worker
@@ -356,13 +359,21 @@ type Runner struct {
 }
 
 // Run plans the grid, resumes whatever the artifact directory already
-// holds, executes the remaining jobs on the worker pool, and aggregates
-// complete cells. On failure it degrades instead of discarding the grid:
-// the returned Result still carries every completed cell, and the error
-// joins one entry per failed job (cell key and repeat in each message) via
-// errors.Join. Cancelling ctx stops workers at the next chunk boundary;
-// in-flight jobs are not checkpointed, so a later Run over the same
-// artifact directory re-executes exactly the unfinished jobs.
+// holds, executes the remaining jobs, and aggregates complete cells.
+//
+// Pending jobs that simulate the same trace — same app, seed and request
+// count: every prefetcher of one repeat, and at repeat 0 every variant of
+// the same length — form a group. A group's engines run concurrently, all
+// fed by one trace.Tee of one generator, so the trace is generated once
+// per group and held in O(chunk) memory. Groups start in plan order while
+// fewer than Workers engines are running.
+//
+// On failure Run degrades instead of discarding the grid: the returned
+// Result still carries every completed cell, and the error joins one entry
+// per failed job (cell key and repeat in each message) via errors.Join.
+// Cancelling ctx stops the engines at the next chunk boundary and starts no
+// further group; in-flight jobs are not checkpointed, so a later Run over
+// the same artifact directory re-executes exactly the unfinished jobs.
 func (r *Runner) Run(ctx context.Context) (*Result, error) {
 	grid := r.Grid.normalized()
 	if err := grid.validateStructure(); err != nil {
@@ -436,52 +447,76 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 		workers = runtime.GOMAXPROCS(0)
 	}
 
-	jobCh := make(chan int)
-	go func() {
-		defer close(jobCh)
-		for i := range plan {
-			if _, ok := resumed[i]; ok {
-				continue
-			}
-			select {
-			case jobCh <- i:
-			case <-ctx.Done():
-				return
-			}
+	// Group the pending jobs by trace, groups in plan order.
+	type traceKey struct {
+		app      string
+		seed     int64
+		requests int
+	}
+	var groups [][]int
+	groupOf := map[traceKey]int{}
+	for i, pl := range plan {
+		if _, ok := resumed[i]; ok {
+			continue
 		}
-	}()
+		k := traceKey{pl.job.Cell.App, pl.job.Seed, pl.job.Config.Requests}
+		g, ok := groupOf[k]
+		if !ok {
+			g = len(groups)
+			groupOf[k] = g
+			groups = append(groups, nil)
+		}
+		groups[g] = append(groups[g], i)
+	}
 
 	errs := make([]error, len(plan))
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobCh {
-				pl := plan[i]
-				rep, err := r.runJob(ctx, pl.job)
-				if err != nil {
-					errs[i] = fmt.Errorf("cell %s: %w", pl.job, err)
-					r.logf("failed %s: %v", pl.job, err)
-					continue
-				}
-				if r.ArtifactDir != "" {
-					if err := r.writeJobArtifact(manTemplate, pl.job, rep); err != nil {
-						errs[i] = fmt.Errorf("cell %s: %w", pl.job, err)
-						continue
-					}
-				}
-				// Each job owns its distinct Repeats slot, so no lock is
-				// needed for the write (the slice itself never changes).
-				pl.cell.Repeats[pl.job.Repeat] = &RepeatResult{Seed: pl.job.Seed, Report: rep}
-				r.logf("done %s", pl.job)
-				if r.JobDone != nil {
-					r.JobDone(pl.job, rep)
-				}
-			}
-		}()
+	finished := make(chan struct{}, len(plan))
+	finish := func(i int, rep metrics.Report, err error) {
+		defer func() { finished <- struct{}{} }()
+		pl := plan[i]
+		if err == nil && r.ArtifactDir != "" {
+			err = r.writeJobArtifact(manTemplate, pl.job, rep)
+		}
+		if err != nil {
+			errs[i] = fmt.Errorf("cell %s: %w", pl.job, err)
+			r.logf("failed %s: %v", pl.job, err)
+			return
+		}
+		// Each job owns its distinct Repeats slot, so no lock is needed
+		// for the write (the slice itself never changes).
+		pl.cell.Repeats[pl.job.Repeat] = &RepeatResult{Seed: pl.job.Seed, Report: rep}
+		r.logf("done %s", pl.job)
+		if r.JobDone != nil {
+			r.JobDone(pl.job, rep)
+		}
 	}
-	wg.Wait()
+
+	live := 0
+admit:
+	for _, g := range groups {
+		for live >= workers {
+			select {
+			case <-finished:
+				live--
+			case <-ctx.Done():
+				break admit
+			}
+		}
+		if ctx.Err() != nil {
+			break
+		}
+		jobs := make([]Job, len(g))
+		for k, i := range g {
+			jobs[k] = plan[i].job
+		}
+		if r.startGroup(ctx, jobs, func(k int, rep metrics.Report, err error) { finish(g[k], rep, err) }) {
+			res.Traces++
+		}
+		live += len(g)
+	}
+	for ; live > 0; live-- {
+		<-finished
+	}
 
 	var joined []error
 	for i, pl := range plan {
@@ -511,16 +546,42 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 	return res, errors.Join(joined...)
 }
 
-// runJob simulates one cell repeat: the catalog profile reseeded for the
-// repeat, the named prefetcher, and the cell's configuration, driven
-// through the cancellable streaming engine (partial reports of cancelled
-// runs are discarded — only completed jobs checkpoint).
-func (r *Runner) runJob(ctx context.Context, j Job) (metrics.Report, error) {
-	p, ok := workloads.ByAbbr(j.Cell.App)
+// startGroup starts one goroutine per job of a group, every engine fed by
+// one tee of the group's generator, and calls done once per job. It reports
+// whether it generated a trace (false when the app is unknown and every job
+// fails at once).
+func (r *Runner) startGroup(ctx context.Context, jobs []Job, done func(k int, rep metrics.Report, err error)) bool {
+	p, ok := workloads.ByAbbr(jobs[0].Cell.App)
 	if !ok {
-		return metrics.Report{}, fmt.Errorf("sweepfarm: unknown app %q", j.Cell.App)
+		for k := range jobs {
+			done(k, metrics.Report{}, fmt.Errorf("sweepfarm: unknown app %q", jobs[0].Cell.App))
+		}
+		return false
 	}
-	p.Seed = j.Seed
+	p.Seed = jobs[0].Seed
+	streams := trace.Tee(p.Stream(jobs[0].Config.Requests), len(jobs))
+	for k, j := range jobs {
+		go func() {
+			rep, err := r.runJob(ctx, j, streams[k])
+			done(k, rep, err)
+		}()
+	}
+	return true
+}
+
+// runJob simulates one cell repeat: the named prefetcher and the cell's
+// configuration, driven through the cancellable streaming engine (partial
+// reports of cancelled runs are discarded — only completed jobs
+// checkpoint). Whatever happens, the job's tee consumer is closed on
+// return, so a failed, panicking or cancelled engine never holds back the
+// rest of its group; an engine panic becomes the job's error.
+func (r *Runner) runJob(ctx context.Context, j Job, s *trace.TeeStream) (rep metrics.Report, err error) {
+	defer s.Close()
+	defer func() {
+		if v := recover(); v != nil {
+			err = fmt.Errorf("sweepfarm: engine panic: %v", v)
+		}
+	}()
 	factory, err := sim.NamedPrefetcher(j.Cell.Prefetcher)
 	if err != nil {
 		return metrics.Report{}, err
@@ -531,19 +592,7 @@ func (r *Runner) runJob(ctx context.Context, j Job) (metrics.Report, error) {
 	cfg.ParallelChannels = !j.Config.Serial
 	cfg.SubShards = j.Config.SubShards
 	cfg.Counters = r.Counters
-	eng := sim.New(cfg)
-
-	var s trace.Stream
-	if j.Config.NoStream {
-		gen := r.Materialize
-		if gen == nil {
-			gen = workloads.Profile.Generate
-		}
-		s = gen(p, j.Config.Requests).Stream()
-	} else {
-		s = p.Stream(j.Config.Requests)
-	}
-	return eng.RunWarmStreamCtx(ctx, s, p.Abbr, j.Config.Warmup)
+	return sim.New(cfg).RunWarmStreamCtx(ctx, s, j.Cell.App, j.Config.Warmup)
 }
 
 func (r *Runner) logf(format string, args ...any) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/csv"
+	"fmt"
 	"io"
 	"math"
 	"os"
@@ -53,6 +54,15 @@ func TestSeedForDeterministic(t *testing.T) {
 	if sweepfarm.SeedFor(other, 1, 101) == a {
 		t.Fatal("derived seeds collide across cells")
 	}
+	// Paired repeats: every prefetcher of one (app, variant, repeat)
+	// simulates the same trace.
+	bop := sweepfarm.CellKey{App: "CFM", Prefetcher: "bop"}
+	if sweepfarm.SeedFor(bop, 1, 101) != a {
+		t.Fatal("prefetchers of one app, variant and repeat got different seeds")
+	}
+	if sweepfarm.SeedFor(sweepfarm.CellKey{App: "CFM", Prefetcher: "bop", Variant: "x"}, 1, 101) == a {
+		t.Fatal("derived seeds collide across variants")
+	}
 	if a != sweepfarm.SeedFor(key, 1, 101) {
 		t.Fatal("seed derivation not deterministic")
 	}
@@ -78,13 +88,6 @@ func TestConfigHashSensitivity(t *testing.T) {
 		if m.Hash() == h {
 			t.Fatalf("mutation %d did not change the hash", i)
 		}
-	}
-	// NoStream is explicitly excluded: streamed and materialized runs are
-	// pinned bit-identical, so artifacts remain valid across the switch.
-	ns := base
-	ns.NoStream = true
-	if ns.Hash() != h {
-		t.Fatal("NoStream changed the hash despite bit-identical reports")
 	}
 	// Warmup clamping: NaN and negatives normalise to 0 before hashing.
 	nan := base
@@ -232,6 +235,48 @@ func TestRunnerRepeatsAndAggregates(t *testing.T) {
 	}
 	if !reflect.DeepEqual(multi, sres.Cells[0].Repeats[0].Report) {
 		t.Fatal("repeat 0 differs from a fresh catalog-seeded run")
+	}
+}
+
+// TestRunnerSharesTraces: jobs that simulate the same trace share one
+// generated trace. With paired seeds every prefetcher of an (app, repeat)
+// is one group, so the grid generates apps × R traces; a job fed through
+// the shared trace reports exactly what it reports when it runs alone.
+func TestRunnerSharesTraces(t *testing.T) {
+	const repeats = 3
+	grid := sweepfarm.Grid{Prefetchers: []string{"none", "stride"}, Repeats: repeats}
+	res, err := (&sweepfarm.Runner{Grid: grid, Base: tinyConfig()}).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	apps := len(res.Grid.Apps)
+	if res.Executed != apps*2*repeats || res.Traces != apps*repeats {
+		t.Fatalf("ran %d jobs on %d traces, want %d on apps × R = %d",
+			res.Executed, res.Traces, apps*2*repeats, apps*repeats)
+	}
+	seeds := map[string]int64{}
+	for _, c := range res.Cells {
+		for r, rep := range c.Repeats {
+			k := fmt.Sprintf("%s/r%d", c.Key.App, r)
+			if s, ok := seeds[k]; ok && s != rep.Seed {
+				t.Fatalf("%s: prefetchers of one repeat got seeds %d and %d", k, s, rep.Seed)
+			}
+			seeds[k] = rep.Seed
+		}
+	}
+
+	alone, err := (&sweepfarm.Runner{
+		Grid: sweepfarm.Grid{Apps: []string{"HoK"}, Prefetchers: []string{"stride"}, Repeats: 2},
+		Base: tinyConfig(),
+	}).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range res.Cells {
+		if c.Key.App == "HoK" && c.Key.Prefetcher == "stride" &&
+			!reflect.DeepEqual(c.Repeats[1].Report, alone.Cells[0].Repeats[1].Report) {
+			t.Fatal("a job on a shared trace differs from the same job run alone")
+		}
 	}
 }
 
