@@ -78,7 +78,6 @@ func main() {
 	n := flag.Int("n", 800_000, "requests to generate when using -app")
 	verbose := flag.Bool("v", false, "print detailed DRAM/cache counters")
 	warmup := flag.Float64("warmup", 0, "fraction of the trace run before statistics start (0 disables)")
-	stream := flag.Bool("stream", true, "stream records to the engine in O(chunk) memory instead of materializing the trace (bit-identical reports; -stream=false materializes)")
 	useMmap := flag.Bool("mmap", true, "memory-map the -trace file and decode records straight from the mapping (falls back to buffered reads when mapping is unavailable; -mmap=false forces the buffered reader)")
 	jsonPath := flag.String("json", "", "write a JSON run artifact (manifest + report + time series) to this path")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile (runtime/pprof) to this path")
@@ -108,9 +107,9 @@ func main() {
 		}
 	})
 
-	// Build the record stream: from a binary trace file (never materialized
-	// when -stream; the file's size declares the record count so warmup
-	// fractions still work) or from the seeded workload generator.
+	// Build the record stream: from a binary trace file (never materialized;
+	// the file's size declares the record count so warmup fractions still
+	// work) or from the seeded workload generator.
 	var (
 		s       trace.Stream
 		name    string
@@ -119,8 +118,7 @@ func main() {
 	)
 	if *traceFile != "" {
 		name = *traceFile
-		switch {
-		case *stream && *useMmap:
+		if *useMmap {
 			// Memory-mapped replay: records decode straight from the
 			// mapped file (OpenMapped falls back to buffered reads by
 			// itself when the platform cannot map).
@@ -134,7 +132,7 @@ func main() {
 				fatal(err)
 			}
 			s, records = ms, mt.Len()
-		case *stream:
+		} else {
 			f, err := os.Open(*traceFile)
 			if err != nil {
 				fatal(err)
@@ -150,17 +148,6 @@ func main() {
 				records = rc
 			}
 			s = rs
-		default:
-			f, err := os.Open(*traceFile)
-			if err != nil {
-				fatal(err)
-			}
-			tt, err := trace.ReadAllFrom(f)
-			f.Close()
-			if err != nil {
-				fatal(err)
-			}
-			s, records = tt.Stream(), len(tt)
 		}
 	} else {
 		p, ok := workloads.ByAbbr(*app)
@@ -168,11 +155,7 @@ func main() {
 			fatal(fmt.Errorf("unknown app %q (have %v)", *app, workloads.Abbrs()))
 		}
 		name, seed, records = p.Abbr, p.Seed, *n
-		if *stream {
-			s = p.Stream(*n)
-		} else {
-			s = p.Generate(*n).Stream()
-		}
+		s = p.Stream(*n)
 	}
 
 	if *tournament {

@@ -147,14 +147,6 @@ func NewSampler(everyRequests, everyCycles uint64) *Sampler {
 	return &Sampler{everyRequests: everyRequests, everyCycles: everyCycles}
 }
 
-// Base returns the cumulative request count and trace cycle at the start
-// of the currently open window. The parallel engine uses it to precompute
-// window boundaries from the trace alone, so its barrier-merged samples
-// close at exactly the records the serial engine's Due checks fire on.
-func (s *Sampler) Base() (requests, cycle uint64) {
-	return s.base.Requests, s.base.Cycle
-}
-
 // Due reports whether the current window should close, given the
 // cumulative request count and the trace clock.
 func (s *Sampler) Due(requests, cycle uint64) bool {

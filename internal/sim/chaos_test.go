@@ -174,10 +174,11 @@ func nthOfChannel(tr trace.Trace, ch, n int) int64 {
 	return -1
 }
 
-// TestChaosWorkerPanicRecovered: a panic inside a channel worker must come
-// back as an error attributed to the panicking record — and when two
-// channels blow up, the earliest global position wins, exactly where the
-// serial engine would have stopped.
+// TestChaosWorkerPanicRecovered: a panic inside a channel's prefetcher must
+// come back as an error attributed to the panicking record — and when two
+// channels blow up, the earliest global position wins. Inline (serial) and
+// worker (parallel) stepping must agree: same error kind, Truncated report
+// and FailedAt.
 func TestChaosWorkerPanicRecovered(t *testing.T) {
 	const n = 60_000
 	p := workloads.Catalog()[0]
@@ -205,31 +206,35 @@ func TestChaosWorkerPanicRecovered(t *testing.T) {
 
 	for _, sampleEvery := range []uint64{0, 2_000} {
 		t.Run(fmt.Sprintf("sampleEvery=%d", sampleEvery), func(t *testing.T) {
-			base := runtime.NumGoroutine()
-			cfg := DefaultConfig()
-			cfg.SampleEvery = sampleEvery
-			cfg.ParallelChannels = true
-			cfg.NewPrefetcher = func(ch int) prefetch.Prefetcher {
-				switch ch {
-				case chA:
-					return &panicAfter{n: 900}
-				case chB:
-					return &panicAfter{n: 40}
-				}
-				return &panicAfter{}
+			for _, parallel := range []bool{false, true} {
+				t.Run(fmt.Sprintf("parallel=%v", parallel), func(t *testing.T) {
+					base := runtime.NumGoroutine()
+					cfg := DefaultConfig()
+					cfg.SampleEvery = sampleEvery
+					cfg.ParallelChannels = parallel
+					cfg.NewPrefetcher = func(ch int) prefetch.Prefetcher {
+						switch ch {
+						case chA:
+							return &panicAfter{n: 900}
+						case chB:
+							return &panicAfter{n: 40}
+						}
+						return &panicAfter{}
+					}
+					rep, err := New(cfg).RunStream(tr.Stream(), p.Abbr)
+					if err == nil || !strings.Contains(err.Error(), "panic") {
+						t.Fatalf("panic not surfaced as an error: %v", err)
+					}
+					if !rep.Truncated {
+						t.Fatal("panicked run returned a report not marked Truncated")
+					}
+					if rep.FailedAt != want {
+						t.Fatalf("panic attributed to record %d, want earliest failing record %d",
+							rep.FailedAt, want)
+					}
+					checkGoroutines(t, base)
+				})
 			}
-			rep, err := New(cfg).RunStream(tr.Stream(), p.Abbr)
-			if err == nil || !strings.Contains(err.Error(), "panic") {
-				t.Fatalf("worker panic not surfaced as an error: %v", err)
-			}
-			if !rep.Truncated {
-				t.Fatal("panicked run returned a report not marked Truncated")
-			}
-			if rep.FailedAt != want {
-				t.Fatalf("panic attributed to record %d, want earliest failing record %d",
-					rep.FailedAt, want)
-			}
-			checkGoroutines(t, base)
 		})
 	}
 }
@@ -240,43 +245,49 @@ func TestChaosWorkerPanicRecovered(t *testing.T) {
 // barriers — must not wedge the splitter against the dead worker's bounded
 // queue while the other workers barrier-wait. Before the drain-after-
 // failure and panic-recovery fixes this hung; now it returns promptly with
-// the failure attributed and no goroutines left behind.
+// the failure attributed and no goroutines left behind. Inline stepping
+// must report the same panic at the same record.
 func TestChaosFirstRecordFault(t *testing.T) {
 	const n = 120_000
 	p := workloads.Catalog()[2]
 	tr := p.Generate(n)
 	failCh := tr[0].Block().Channel()
-	base := runtime.NumGoroutine()
-	cfg := DefaultConfig()
-	cfg.SampleEvery = 3_000
-	cfg.ParallelChannels = true
-	cfg.NewPrefetcher = func(ch int) prefetch.Prefetcher {
-		if ch == failCh {
-			return &panicAfter{n: 1}
-		}
-		return &panicAfter{}
+	for _, parallel := range []bool{false, true} {
+		t.Run(fmt.Sprintf("parallel=%v", parallel), func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			cfg := DefaultConfig()
+			cfg.SampleEvery = 3_000
+			cfg.ParallelChannels = parallel
+			cfg.NewPrefetcher = func(ch int) prefetch.Prefetcher {
+				if ch == failCh {
+					return &panicAfter{n: 1}
+				}
+				return &panicAfter{}
+			}
+			done := make(chan struct{})
+			var rep = struct {
+				truncated bool
+				failedAt  int64
+				err       error
+			}{}
+			go func() {
+				defer close(done)
+				r, err := New(cfg).RunStream(tr.Stream(), p.Abbr)
+				rep.truncated, rep.failedAt, rep.err = r.Truncated, r.FailedAt, err
+			}()
+			select {
+			case <-done:
+			case <-time.After(30 * time.Second):
+				t.Fatal("first-record fault deadlocked the splitter")
+			}
+			if rep.err == nil || !strings.Contains(rep.err.Error(), "panic") ||
+				!rep.truncated || rep.failedAt != 0 {
+				t.Fatalf("first-record fault: err=%v truncated=%v failedAt=%d, want panic error/true/0",
+					rep.err, rep.truncated, rep.failedAt)
+			}
+			checkGoroutines(t, base)
+		})
 	}
-	done := make(chan struct{})
-	var rep = struct {
-		truncated bool
-		failedAt  int64
-		err       error
-	}{}
-	go func() {
-		defer close(done)
-		r, err := New(cfg).RunStream(tr.Stream(), p.Abbr)
-		rep.truncated, rep.failedAt, rep.err = r.Truncated, r.FailedAt, err
-	}()
-	select {
-	case <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("first-record fault deadlocked the parallel splitter")
-	}
-	if rep.err == nil || !rep.truncated || rep.failedAt != 0 {
-		t.Fatalf("first-record fault: err=%v truncated=%v failedAt=%d, want error/true/0",
-			rep.err, rep.truncated, rep.failedAt)
-	}
-	checkGoroutines(t, base)
 }
 
 // TestFaultStreamTransparent is the acceptance bar for the wrapper itself:

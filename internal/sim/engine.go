@@ -48,14 +48,14 @@ type Config struct {
 	// the paper's power-constrained setting.
 	ThrottleOutstanding int
 
-	// ParallelChannels runs Run/RunWarm with one goroutine per DRAM
-	// channel. The paper's system is four independent SC slices — each
+	// ParallelChannels steps each execution unit's records on its own
+	// goroutine during Run/RunWarm/RunStream instead of inline on the
+	// caller's. The paper's system is four independent SC slices — each
 	// trace record touches exactly one channel's cache, prefetcher, queue
-	// and controller — so the trace is partitioned once by channel and
-	// the per-channel streams execute concurrently. Reports are
-	// bit-identical to the serial engine (see docs/PERFORMANCE.md for the
-	// determinism/merge contract). DefaultConfig enables it; Step always
-	// runs serially.
+	// and controller — so this is the only thing the flag changes: the
+	// run loop is the same, and reports are bit-identical either way (see
+	// docs/PERFORMANCE.md for the determinism/merge contract).
+	// DefaultConfig enables it; Step always runs inline.
 	ParallelChannels bool
 
 	// SubShards splits each channel into this many address-hashed
@@ -93,9 +93,10 @@ type Config struct {
 	// tracing on or off. See docs/TRACING.md.
 	Events *events.Config
 
-	// Counters, when non-nil, receives live processed-record counts at
-	// chunk granularity from the streaming run paths (RunStream and the
-	// parallel workers) — the backing state of -progress and -debug-addr.
+	// Counters, when non-nil, receives live record counts at chunk
+	// granularity from the run loop (RunStream and the shims over it) —
+	// the backing state of -progress and -debug-addr. With
+	// ParallelChannels, a record counts once it is handed to its unit.
 	Counters *events.RunCounters
 
 	// Telemetry, when non-nil, enables live production metrics: the
@@ -360,8 +361,8 @@ func newDRAMTelemetry(reg *telemetry.Registry, ch, shard int) *dram.Telemetry {
 }
 
 // Engine is one simulation instance. Not safe for concurrent use by
-// callers; with Config.ParallelChannels set, Run and RunWarm internally
-// drive every execution unit (channel × sub-shard) from one goroutine each.
+// callers; with Config.ParallelChannels set, the run methods internally
+// step every execution unit (channel × sub-shard) on a goroutine of its own.
 type Engine struct {
 	cfg    Config
 	units  []*channelState // len = addr.Channels × shards; unit u serves channel u/shards
@@ -889,21 +890,38 @@ func (cs *channelState) addLateByOrigin(dst map[string]uint64) map[string]uint64
 
 // Step processes one trace record (the incremental, always-serial API).
 func (e *Engine) Step(rec trace.Record) error {
-	cs := e.units[unitIndex(rec.Block(), e.shards)]
-	if err := cs.step(rec); err != nil {
+	if err := e.units[unitIndex(rec.Block(), e.shards)].step(rec); err != nil {
 		return err
 	}
-	if e.sampler != nil {
-		e.requests++
-		if e.sampler.Due(e.requests, rec.Cycle) {
-			e.sampler.Record(e.snapshot(rec.Cycle))
-		}
-	}
+	e.count(rec.Cycle, nil)
 	return nil
 }
 
-// snapshot sums the live counters of every channel into one cumulative
-// metrics snapshot; ReadLatency mirrors the AMAT numerator of Finish.
+// count books one processed record at trace clock cycle with the sampler.
+// Sampling off, it is one nil check, small enough to inline into Step and
+// the run loop.
+func (e *Engine) count(cycle uint64, w *workers) {
+	if e.sampler != nil {
+		e.sample(cycle, w)
+	}
+}
+
+// sample advances the request counter and closes the sampler window if it
+// is due, with w's workers paused around the snapshot (w is nil when
+// records are stepped inline).
+func (e *Engine) sample(cycle uint64, w *workers) {
+	e.requests++
+	if e.sampler.Due(e.requests, cycle) {
+		w.pause()
+		e.sampler.Record(e.snapshot(cycle))
+		w.resume()
+	}
+}
+
+// snapshot sums the live counters of every unit into one cumulative
+// metrics snapshot. ReadLatency is the AMAT numerator: hit latency for read
+// hits, late-prefetch wait time, and lookup latency plus DRAM service for
+// true read misses (one demand DRAM read per such miss).
 func (e *Engine) snapshot(cycle uint64) metrics.Snapshot {
 	s := metrics.Snapshot{Cycle: cycle, Requests: e.requests}
 	for _, cs := range e.units {
@@ -931,10 +949,8 @@ func (e *Engine) snapshot(cycle uint64) metrics.Snapshot {
 }
 
 // Run processes a whole in-memory trace and returns the aggregated report.
-// It is a compatibility shim over RunStream on a slice-backed stream: with
-// Config.ParallelChannels set, chunks are fanned out to one goroutine per
-// channel as the splitter walks the slice; the report is bit-identical to a
-// serial run.
+// It is a compatibility shim over RunStream on a slice-backed stream; the
+// report is bit-identical to a serial run.
 func (e *Engine) Run(t trace.Trace, workload string) (metrics.Report, error) {
 	return e.RunStream(t.Stream(), workload)
 }
@@ -951,39 +967,23 @@ func (e *Engine) RunWarm(t trace.Trace, workload string, warmup float64) (metric
 // Finish flushes the DRAM controllers and builds the report.
 func (e *Engine) Finish(workload string) metrics.Report {
 	rep := metrics.Report{
-		Workload:       workload,
-		Prefetcher:     e.pfName,
-		Channels:       addr.Channels,
-		SubShards:      e.shards,
-		SCHitLatency:   e.cfg.SCHitLatency,
-		UsefulByOrigin: make(map[string]uint64),
+		Workload:     workload,
+		Prefetcher:   e.pfName,
+		Channels:     addr.Channels,
+		SubShards:    e.shards,
+		SCHitLatency: e.cfg.SCHitLatency,
 	}
 	pm := power.New(e.cfg.Power)
-	var totalReadLat, cycles, lastEnd uint64
+	var cycles, lastEnd uint64
 	for _, cs := range e.units {
 		// Land any still-in-flight prefetches so accounting is complete.
 		_ = cs.commitPending(^uint64(0))
 		cs.dram.Flush()
-		cstats := cs.cache.Stats()
 		dstats := cs.dram.Stats()
-		qstats := cs.queue.Stats()
-
-		rep.DemandReads += cs.demandReads
-		rep.DemandWrites += cs.demandWrites
-		addCache(&rep.Cache, cstats)
+		addCache(&rep.Cache, cs.cache.Stats())
 		addDRAM(&rep.DRAM, dstats)
-		addPF(&rep.Prefetch, qstats)
+		addPF(&rep.Prefetch, cs.queue.Stats())
 		rep.StorageBits += cs.pf.StorageBits()
-
-		// Read AMAT components: hit latency for read hits, late-
-		// prefetch wait time, and lookup latency plus DRAM service for
-		// true read misses (one demand DRAM read per such miss).
-		totalReadLat += cs.hitLatency + cs.lateLatency +
-			dstats.DemandReads*e.cfg.SCHitLatency +
-			dstats.TotalDemandReadLat
-		rep.LatePrefetchHits += cs.lateHits
-		rep.UsefulByOrigin = cs.addUsefulByOrigin(rep.UsefulByOrigin)
-		rep.LateByOrigin = cs.addLateByOrigin(rep.LateByOrigin)
 		end := cs.lastCycle
 		if dstats.LastDone > end {
 			end = dstats.LastDone
@@ -1000,11 +1000,21 @@ func (e *Engine) Finish(workload string) metrics.Report {
 		}
 	}
 	rep.Cycles = cycles
+	// One snapshot, taken only now that in-flight prefetches landed and the
+	// controllers flushed, feeds both the report's demand and AMAT fields
+	// and the sampler's final (partial) window, so the series totals equal
+	// the report aggregates exactly.
+	snap := e.snapshot(lastEnd)
+	rep.DemandReads = snap.DemandReads
+	rep.DemandWrites = snap.DemandWrites
+	rep.LatePrefetchHits = snap.LatePrefetchHits
+	rep.UsefulByOrigin = snap.UsefulByOrigin
+	if rep.UsefulByOrigin == nil {
+		rep.UsefulByOrigin = make(map[string]uint64)
+	}
+	rep.LateByOrigin = snap.LateByOrigin
 	if e.sampler != nil {
-		// Close the final (partial) window only now, after in-flight
-		// prefetches landed and the controllers flushed, so the series
-		// totals equal the report aggregates exactly.
-		rep.Series = e.sampler.Finish(e.snapshot(lastEnd))
+		rep.Series = e.sampler.Finish(snap)
 	}
 	for _, cs := range e.units {
 		rep.Energy = power.Add(rep.Energy,
@@ -1012,7 +1022,7 @@ func (e *Engine) Finish(workload string) metrics.Report {
 				uint64(cs.pf.StorageBits()), cycles))
 	}
 	if rep.DemandReads > 0 {
-		rep.AMAT = float64(totalReadLat) / float64(rep.DemandReads)
+		rep.AMAT = float64(snap.ReadLatency) / float64(rep.DemandReads)
 	}
 	// Telemetry summary (nil when disabled, so the report JSON — and with
 	// it the golden digests — is bit-identical to a telemetry-free run).

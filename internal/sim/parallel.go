@@ -1,90 +1,103 @@
 package sim
 
-// This file implements the sharded parallel execution mode: the paper's
-// system is four independent SC slices, one per LPDDR4 channel, and every
-// trace record touches exactly one channel's cache, prefetcher, queue and
-// DRAM controller. The engine therefore runs one goroutine per channel and
-// feeds each its records through a bounded queue of chunks, fanned out by a
-// streaming splitter as the records arrive — no materialized per-channel
-// slices, so a parallel run needs O(chunk) memory per channel regardless of
-// trace length.
+// This file holds the worker side of the run loop (consumeStream in
+// stream.go). The paper's system is four independent SC slices, one per
+// LPDDR4 channel, and every trace record touches exactly one execution
+// unit's cache, prefetcher, queue and DRAM controller. So a run is one
+// splitter walking the global record stream, and the only choice is where
+// each unit's records are stepped:
 //
-// Determinism contract (see docs/PERFORMANCE.md): per-channel state after
-// processing a channel's records up to global trace position i is identical
-// to the serial engine's state at position i, because channels share
-// nothing. The only cross-channel coupling is the metrics sampler, whose
-// window boundaries depend on the global record stream — the splitter sees
-// that global order, so it plans boundaries on the fly by replaying
-// metrics.Sampler.Due's exact arithmetic (the same computation the retired
-// slice-based planWindows did up front), and all channels barrier at each
-// boundary before the merged snapshot is taken. Reports are bit-identical
-// to serial runs.
+//   - inline (Config.ParallelChannels off, or a single unit): the splitter
+//     steps every record itself, through Engine.Step. There are no
+//     goroutines, queues or pools, and a nil *workers stands for this mode:
+//     its pause and resume are no-ops.
+//   - on workers: one goroutine per unit, fed its records through a bounded
+//     queue of chunks as they arrive, so a run needs O(chunk) memory per
+//     unit regardless of trace length.
+//
+// Determinism contract (see docs/PERFORMANCE.md): a unit's state after its
+// records up to global position i is the same in both modes, because units
+// share nothing. The only cross-unit coupling is the metrics sampler, whose
+// window boundaries depend on the global record stream. The splitter sees
+// that order and asks metrics.Sampler.Due itself; at a window (or warmup)
+// boundary it pauses every worker at a barrier, takes the merged snapshot
+// and resumes them. Reports are bit-identical in both modes.
 //
 // Failure contract (docs/PERFORMANCE.md, "Failure model"): a worker that
 // errors — or panics; panics are recovered into errors — never stops
 // draining its queue, so the splitter can never block pushing into a dead
 // worker's bounded queue and barriers always complete. The first failure
 // trips a shared abort latch; the splitter stops reading the stream at the
-// next chunk boundary, flushes what it already read (so an even earlier
-// fault buffered for another channel is still discovered), closes the
+// next chunk boundary, and close flushes what it already read (so an even
+// earlier fault buffered for another unit is still discovered), closes the
 // queues and joins every worker. The run's error is attributed to the
-// earliest failing global record, exactly as the serial engine would stop.
+// earliest failing global record, exactly where inline stepping stops.
 
 import (
-	"context"
 	"fmt"
 	"sync"
 
 	"repro/internal/trace"
 )
 
-// parallelOK reports whether Run/RunWarm should use the sharded mode. The
-// worker count is the engine's unit count — channels × sub-shards — so
-// Config.SubShards scales a parallel run past one worker per channel.
-func (e *Engine) parallelOK() bool {
-	return e.cfg.ParallelChannels && len(e.units) > 1
-}
-
-// parcelQueueDepth bounds each channel's queue of in-flight chunks. With
-// the building buffer and the chunk a worker is processing, a channel holds
-// at most parcelQueueDepth+2 chunks at once — the memory bound of the
-// parallel pipeline (≈ 6 × 96 KB per channel).
+// parcelQueueDepth bounds each unit's queue of in-flight chunks. With the
+// building buffer and the chunk a worker is processing, a unit holds at
+// most parcelQueueDepth+2 chunks at once — the memory bound of the worker
+// mode (≈ 6 × 96 KB per unit).
 const parcelQueueDepth = 4
 
-// parcelBuf is one recycled per-channel chunk: the records plus their
-// global trace positions (used to attribute an error to the earliest
-// failing record, as the serial engine would).
+// parcelBuf is one recycled per-unit chunk: the records plus their global
+// trace positions (used to attribute an error to the earliest failing
+// record).
 type parcelBuf struct {
 	recs []trace.Record
 	idx  []int64
 }
 
-// streamBarrier synchronises all channel workers with the splitter at a
-// sampler window (or warmup) boundary: workers signal arrival and park
-// until the splitter has taken its merged snapshot and closes resume.
+// streamBarrier synchronises all workers with the splitter at a sampler
+// window (or warmup) boundary: workers signal arrival and park until the
+// splitter has taken its merged snapshot and closes resume.
 type streamBarrier struct {
 	arrived sync.WaitGroup
 	resume  chan struct{}
 }
 
-// parcel is one message on a channel worker's queue: either a chunk of
-// records or a barrier.
+// parcel is one message on a worker's queue: either a chunk of records or
+// a barrier.
 type parcel struct {
 	buf     *parcelBuf
 	barrier *streamBarrier
 }
 
-// stepAll drives every record of b through the channel slice. A step error
-// — or a panic out of the channel's cache, prefetcher or controller, which
-// is recovered here so one poisoned component cannot wedge the whole
-// pipeline — is attributed to the global position of the record being
-// processed.
+// unitErr is one worker's failure and the global record it is attributed to.
+type unitErr struct {
+	err    error
+	global int64
+}
+
+// workers steps each unit's records on its own goroutine. A nil *workers is
+// the inline mode.
+type workers struct {
+	queues  []chan parcel
+	bufs    []*parcelBuf // the chunk being built, per unit
+	errs    []unitErr    // each worker writes only its slot
+	wg      sync.WaitGroup
+	abort   chan struct{} // closed once, on the first worker failure
+	trip    sync.Once
+	pool    sync.Pool
+	barrier *streamBarrier // the barrier the workers are parked at, between pause and resume
+}
+
+// stepAll drives every record of b through the unit. A step error — or a
+// panic out of the unit's cache, prefetcher or controller, which is
+// recovered here so one poisoned component cannot wedge the whole pipeline
+// — is attributed to the global position of the record being processed.
 func (cs *channelState) stepAll(b *parcelBuf) (at int64, err error) {
 	k := 0
 	defer func() {
 		if r := recover(); r != nil {
 			at = b.idx[k]
-			err = fmt.Errorf("sim: channel worker panic at record %d: %v", at, r)
+			err = fmt.Errorf("sim: panic at record %d: %v", at, r)
 		}
 	}()
 	for k = range b.recs {
@@ -95,187 +108,133 @@ func (cs *channelState) stepAll(b *parcelBuf) (at int64, err error) {
 	return 0, nil
 }
 
-// runParallelStream drives a record stream through the sharded engine.
-// warmAt >= 0 resets statistics immediately before global record warmAt
-// (the warmup boundary); warmAt < 0 disables the reset. Without sampling
-// and warmup there are no barriers at all: the four channels run free from
-// start to finish behind the splitter. The returned position attributes any
-// error (see consumeStream).
-func (e *Engine) runParallelStream(ctx context.Context, s trace.Stream, warmAt int64) (int64, error) {
-	type chanErr struct {
-		err    error
-		global int64
+// startWorkers launches one worker goroutine per unit.
+func (e *Engine) startWorkers() *workers {
+	n := len(e.units)
+	w := &workers{
+		queues: make([]chan parcel, n),
+		bufs:   make([]*parcelBuf, n),
+		errs:   make([]unitErr, n),
+		abort:  make(chan struct{}),
 	}
-	numUnits := len(e.units)
-	var (
-		queues  = make([]chan parcel, numUnits)
-		errs    = make([]chanErr, numUnits) // each worker writes only its slot
-		workers sync.WaitGroup
-		abort   = make(chan struct{}) // closed once, on the first worker failure
-		trip    sync.Once
-	)
-	pool := sync.Pool{New: func() any {
+	w.pool.New = func() any {
 		return &parcelBuf{
 			recs: make([]trace.Record, 0, trace.ChunkSize),
 			idx:  make([]int64, 0, trace.ChunkSize),
 		}
-	}}
-	for u := 0; u < numUnits; u++ {
-		queues[u] = make(chan parcel, parcelQueueDepth)
-		workers.Add(1)
-		go func(u int) {
-			defer workers.Done()
-			cs := e.units[u]
-			failed := false
-			// The loop always runs to queue close: after a failure the
-			// worker keeps draining chunks (discarding them) and keeps
-			// honouring barriers, so the splitter never blocks pushing
-			// into this queue and quiesce never deadlocks.
-			for p := range queues[u] {
-				if p.barrier != nil {
-					p.barrier.arrived.Done()
-					<-p.barrier.resume
-					continue
-				}
-				if !failed {
-					if at, err := cs.stepAll(p.buf); err != nil {
-						errs[u] = chanErr{err: err, global: at}
-						failed = true
-						trip.Do(func() { close(abort) })
-					} else if c := e.cfg.Counters; c != nil {
-						// Chunk-granularity additive progress, like the
-						// serial consumer.
-						c.Add(int64(len(p.buf.recs)))
-					}
-				}
-				p.buf.recs = p.buf.recs[:0]
-				p.buf.idx = p.buf.idx[:0]
-				pool.Put(p.buf)
-			}
-		}(u)
 	}
+	for u, cs := range e.units {
+		w.queues[u] = make(chan parcel, parcelQueueDepth)
+		w.bufs[u] = w.pool.Get().(*parcelBuf)
+		w.wg.Add(1)
+		go w.work(u, cs)
+	}
+	return w
+}
 
-	bufs := make([]*parcelBuf, numUnits)
-	for u := range bufs {
-		bufs[u] = pool.Get().(*parcelBuf)
-	}
-	flush := func(u int) {
-		if len(bufs[u].recs) == 0 {
-			return
+// work is unit u's worker loop. It always runs to queue close: after a
+// failure it keeps draining chunks (discarding them) and keeps honouring
+// barriers, so the splitter never blocks pushing into this queue and pause
+// never deadlocks.
+func (w *workers) work(u int, cs *channelState) {
+	defer w.wg.Done()
+	failed := false
+	for p := range w.queues[u] {
+		if p.barrier != nil {
+			p.barrier.arrived.Done()
+			<-p.barrier.resume
+			continue
 		}
-		queues[u] <- parcel{buf: bufs[u]}
-		bufs[u] = pool.Get().(*parcelBuf)
-	}
-	// quiesce flushes every channel and parks all workers at a barrier;
-	// the returned function releases them. Between the two calls the
-	// splitter may read and mutate engine state freely: WaitGroup arrival
-	// orders every prior step before the snapshot, and resume orders the
-	// snapshot before every later step.
-	quiesce := func() func() {
-		b := &streamBarrier{resume: make(chan struct{})}
-		b.arrived.Add(numUnits)
-		for u := 0; u < numUnits; u++ {
-			flush(u)
-			queues[u] <- parcel{barrier: b}
+		if !failed {
+			if at, err := cs.stepAll(p.buf); err != nil {
+				w.errs[u] = unitErr{err: err, global: at}
+				failed = true
+				w.trip.Do(func() { close(w.abort) })
+			}
 		}
-		b.arrived.Wait()
-		return func() { close(b.resume) }
+		p.buf.recs = p.buf.recs[:0]
+		p.buf.idx = p.buf.idx[:0]
+		w.pool.Put(p.buf)
 	}
+}
 
-	sampling := e.sampler != nil
-	everyReq, everyCyc := e.cfg.SampleEvery, e.cfg.SampleEveryCycles
-	var baseReq, baseCyc, req uint64
-	if sampling {
-		baseReq, baseCyc = e.sampler.Base()
-		req = e.requests
+// push appends the record at global position i to unit u's chunk, handing
+// the chunk to the worker once full.
+func (w *workers) push(u int, rec trace.Record, i int64) {
+	b := w.bufs[u]
+	b.recs = append(b.recs, rec)
+	b.idx = append(b.idx, i)
+	if len(b.recs) == trace.ChunkSize {
+		w.flush(u)
 	}
+}
 
-	in := make([]trace.Record, trace.ChunkSize)
-	var global int64
-	var cause error // cancellation, recorded at the splitter's position
-splitting:
-	for {
-		select {
-		case <-abort:
-			// A worker failed; stop feeding the stream. The failing
-			// record's position is in errs — attribution happens below.
-			break splitting
-		case <-ctx.Done():
-			cause = ctx.Err()
-			break splitting
-		default:
-		}
-		n := trace.ReadChunk(s, in)
-		if n == 0 {
-			break
-		}
-		for _, rec := range in[:n] {
-			if global == warmAt {
-				resume := quiesce()
-				e.ResetStats()
-				if sampling {
-					baseReq, baseCyc = e.sampler.Base()
-					req = e.requests
-				}
-				resume()
-			}
-			u := unitIndex(rec.Block(), e.shards)
-			b := bufs[u]
-			b.recs = append(b.recs, rec)
-			b.idx = append(b.idx, global)
-			if len(b.recs) == trace.ChunkSize {
-				flush(u)
-			}
-			global++
-			if sampling {
-				req++
-				if (everyReq > 0 && req-baseReq >= everyReq) ||
-					(everyCyc > 0 && rec.Cycle-baseCyc >= everyCyc) {
-					resume := quiesce()
-					e.requests = req
-					e.sampler.Record(e.snapshot(rec.Cycle))
-					resume()
-					baseReq, baseCyc = req, rec.Cycle
-				}
-			}
-		}
+func (w *workers) flush(u int) {
+	if len(w.bufs[u].recs) == 0 {
+		return
 	}
-	if cause == nil && warmAt >= global {
-		// The whole (possibly empty) stream was warmup: the in-loop
-		// boundary never fired, but RunWarm semantics still reset.
-		resume := quiesce()
-		e.ResetStats()
-		if sampling {
-			req = e.requests
-		}
-		resume()
+	w.queues[u] <- parcel{buf: w.bufs[u]}
+	w.bufs[u] = w.pool.Get().(*parcelBuf)
+}
+
+// failed is closed on the first worker failure; nil (never ready) inline.
+func (w *workers) failed() <-chan struct{} {
+	if w == nil {
+		return nil
 	}
-	// Flush everything already read — even when aborting. Workers keep
-	// draining after a failure, the backlog is bounded by the queue depth,
-	// and a fault at an earlier global position that was still buffered
-	// for a healthy channel is discovered this way, keeping attribution at
-	// the earliest failing record.
-	for u := 0; u < numUnits; u++ {
-		flush(u)
-		close(queues[u])
+	return w.abort
+}
+
+// pause flushes every unit and parks all workers at a barrier until
+// resume. In between, the splitter may read and mutate engine state freely:
+// WaitGroup arrival orders every prior step before it, and resume orders it
+// before every later step.
+func (w *workers) pause() {
+	if w == nil {
+		return
 	}
-	workers.Wait()
-	if sampling {
-		// Mirror the serial engine's per-step request counter; the final
-		// (partial) window closes in Finish.
-		e.requests = req
+	b := &streamBarrier{resume: make(chan struct{})}
+	b.arrived.Add(len(w.queues))
+	for u := range w.queues {
+		w.flush(u)
+		w.queues[u] <- parcel{barrier: b}
 	}
-	first := -1
-	for ch := range errs {
-		if errs[ch].err != nil && (first < 0 || errs[ch].global < errs[first].global) {
-			first = ch
+	b.arrived.Wait()
+	w.barrier = b
+}
+
+// resume releases the workers parked by pause.
+func (w *workers) resume() {
+	if w == nil || w.barrier == nil {
+		return
+	}
+	close(w.barrier.resume)
+	w.barrier = nil
+}
+
+// close releases a pending barrier, flushes everything already read — even
+// after a failure: workers keep draining, the backlog is bounded by the
+// queue depth, and a fault at an earlier global position still buffered
+// for a healthy unit is found this way — closes the queues, joins every
+// worker and returns the earliest failure, if any. Inline it does nothing.
+func (w *workers) close() (int64, error) {
+	if w == nil {
+		return 0, nil
+	}
+	w.resume()
+	for u := range w.queues {
+		w.flush(u)
+		close(w.queues[u])
+	}
+	w.wg.Wait()
+	var first *unitErr
+	for u := range w.errs {
+		if ue := &w.errs[u]; ue.err != nil && (first == nil || ue.global < first.global) {
+			first = ue
 		}
 	}
-	if first >= 0 {
-		return errs[first].global, errs[first].err
+	if first == nil {
+		return 0, nil
 	}
-	if cause != nil {
-		return global, cause
-	}
-	return global, s.Err()
+	return first.global, first.err
 }

@@ -17,6 +17,7 @@ package sim
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 
 	"repro/internal/metrics"
@@ -32,18 +33,18 @@ var ErrUnsizedWarmup = errors.New("sim: warmup fraction requires a sized stream 
 
 // RunStream processes a whole record stream and returns the aggregated
 // report. Memory use is O(chunk), independent of stream length. With
-// Config.ParallelChannels set, a streaming splitter fans chunks out to one
-// goroutine per channel as they arrive; the report is bit-identical to a
+// Config.ParallelChannels set, each execution unit's records are stepped on
+// its own goroutine as they arrive; the report is bit-identical to a
 // serial run, and to Run on the materialized trace.
 func (e *Engine) RunStream(s trace.Stream, workload string) (metrics.Report, error) {
 	return e.RunStreamCtx(context.Background(), s, workload)
 }
 
 // RunStreamCtx is RunStream with cooperative cancellation: when ctx is
-// cancelled the engine stops at the next chunk boundary, tears down the
-// parallel splitter and every channel worker without leaking goroutines,
-// and returns ctx.Err() with a partial report (Truncated set, FailedAt at
-// the position the consumer had reached).
+// cancelled the engine stops at the next chunk boundary, tears down every
+// unit worker without leaking goroutines, and returns ctx.Err() with a
+// partial report (Truncated set, FailedAt at the position the consumer had
+// reached).
 func (e *Engine) RunStreamCtx(ctx context.Context, s trace.Stream, workload string) (metrics.Report, error) {
 	failedAt, err := e.consumeStream(ctx, s, -1)
 	return e.finishPartial(workload, failedAt, err)
@@ -101,39 +102,64 @@ func clampWarmup(w float64) float64 {
 	return w
 }
 
-// consumeStream drives every record of s through the engine, resetting
-// statistics immediately before global record warmAt (warmAt < 0 disables
-// the reset; warmAt at or past the end of the stream resets after the last
-// record, matching RunWarm's t[:w] / reset / t[w:] split for every w).
+// consumeStream is the engine's one run loop. It drives every record of s
+// through the engine, resetting statistics immediately before global
+// record warmAt (warmAt < 0 disables the reset; warmAt at or past the end
+// of the stream resets after the last record, matching RunWarm's t[:w] /
+// reset / t[w:] split for every w) and closing sampler windows as they fall
+// due. Config.ParallelChannels decides only where a unit's records are
+// stepped: inline here, through Step, or on the unit's worker (parallel.go).
 // Cancellation is observed at chunk boundaries. The returned position is
-// where any error is attributed: the failing record for simulation errors,
-// the records delivered for stream faults, the stop position for
-// cancellation. It is meaningless when err is nil.
-func (e *Engine) consumeStream(ctx context.Context, s trace.Stream, warmAt int64) (int64, error) {
+// where any error is attributed: the failing record for simulation errors
+// and panics, the records delivered for stream faults, the stop position
+// for cancellation. It is meaningless when err is nil.
+func (e *Engine) consumeStream(ctx context.Context, s trace.Stream, warmAt int64) (at int64, err error) {
 	if c := e.cfg.Counters; c != nil {
 		c.Start()
 	}
-	if e.parallelOK() {
-		return e.runParallelStream(ctx, s, warmAt)
+	var w *workers
+	if e.cfg.ParallelChannels && len(e.units) > 1 {
+		w = e.startWorkers()
 	}
-	buf := make([]trace.Record, trace.ChunkSize)
 	var global, counted int64
+	defer func() {
+		// A panic on this goroutine — an inline step, the stream, a
+		// snapshot — stops the run at the record it hit.
+		if r := recover(); r != nil {
+			at, err = global, fmt.Errorf("sim: panic at record %d: %v", global, r)
+		}
+		// A worker failure is always at an earlier record than where the
+		// splitter stopped, so it wins.
+		if wat, werr := w.close(); werr != nil {
+			at, err = wat, werr
+		}
+	}()
+	in := make([]trace.Record, trace.ChunkSize)
 	for {
 		select {
 		case <-ctx.Done():
 			return global, ctx.Err()
+		case <-w.failed():
+			return global, nil // the worker's error is collected by close
 		default:
 		}
-		n := trace.ReadChunk(s, buf)
+		n := trace.ReadChunk(s, in)
 		if n == 0 {
 			break
 		}
-		for _, rec := range buf[:n] {
+		for _, rec := range in[:n] {
 			if global == warmAt {
+				w.pause()
 				e.ResetStats()
+				w.resume()
 			}
-			if err := e.Step(rec); err != nil {
-				return global, err
+			if w == nil {
+				if err := e.Step(rec); err != nil {
+					return global, err
+				}
+			} else {
+				w.push(unitIndex(rec.Block(), e.shards), rec, global)
+				e.count(rec.Cycle, w)
 			}
 			global++
 		}
@@ -147,7 +173,11 @@ func (e *Engine) consumeStream(ctx context.Context, s trace.Stream, warmAt int64
 		}
 	}
 	if warmAt >= global {
+		// The whole (possibly empty) stream was warmup: the in-loop
+		// boundary never fired, but RunWarm semantics still reset.
+		w.pause()
 		e.ResetStats()
+		w.resume()
 	}
 	return global, s.Err()
 }

@@ -32,7 +32,7 @@ type teeBranch struct {
 
 // runTee drives every branch concurrently on its own consumer of one tee
 // of src, closing each consumer when its engine returns — as the sweep
-// farm does. A panicking engine becomes that branch's error.
+// farm does.
 func runTee(t *testing.T, src trace.Stream, workload string, warmup float64, branches []teeBranch) ([]metrics.Report, []error) {
 	t.Helper()
 	cons := trace.Tee(src, len(branches))
@@ -44,11 +44,6 @@ func runTee(t *testing.T, src trace.Stream, workload string, warmup float64, bra
 		go func() {
 			defer wg.Done()
 			defer cons[i].Close()
-			defer func() {
-				if v := recover(); v != nil {
-					errs[i] = fmt.Errorf("engine panic: %v", v)
-				}
-			}()
 			ctx := b.ctx
 			if ctx == nil {
 				ctx = context.Background()
