@@ -24,40 +24,58 @@ func benchAccesses(n int) []prefetch.Access {
 	return out
 }
 
-// BenchmarkSLPTrainIssue measures the per-access cost of the intra-page
-// sub-prefetcher.
-func BenchmarkSLPTrainIssue(b *testing.B) {
-	s := NewSLP(DefaultSLPConfig())
+// benchTrainIssue times one Train plus one IssueTo per access, reusing one
+// candidate buffer like the engine does, so a warm prefetcher's steady
+// state is allocation-free (BENCH_baseline.json pins allocs/op at 0).
+func benchTrainIssue(b *testing.B, pf interface {
+	Train(prefetch.Access)
+	IssueTo(prefetch.Access, []addr.BlockNum) []addr.BlockNum
+}) {
 	accs := benchAccesses(1 << 16)
+	dst := make([]addr.BlockNum, 0, 64)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a := accs[i&(len(accs)-1)]
-		s.Train(a)
-		s.Issue(a)
+		pf.Train(a)
+		dst = pf.IssueTo(a, dst[:0])
 	}
 }
+
+// BenchmarkSLPTrainIssue measures the per-access cost of the intra-page
+// sub-prefetcher.
+func BenchmarkSLPTrainIssue(b *testing.B) { benchTrainIssue(b, NewSLP(DefaultSLPConfig())) }
 
 // BenchmarkTLPTrainIssue measures the per-access cost of the inter-page
 // sub-prefetcher (dominated by the 128-entry RPT bookkeeping).
-func BenchmarkTLPTrainIssue(b *testing.B) {
-	t := NewTLP(DefaultTLPConfig())
-	accs := benchAccesses(1 << 16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a := accs[i&(len(accs)-1)]
-		t.Train(a)
-		t.Issue(a)
-	}
-}
+func BenchmarkTLPTrainIssue(b *testing.B) { benchTrainIssue(b, NewTLP(DefaultTLPConfig())) }
 
 // BenchmarkPlanariaTrainIssue measures the full composite prefetcher.
-func BenchmarkPlanariaTrainIssue(b *testing.B) {
-	p := New(DefaultConfig())
-	accs := benchAccesses(1 << 16)
+func BenchmarkPlanariaTrainIssue(b *testing.B) { benchTrainIssue(b, New(DefaultConfig())) }
+
+// bestNeighborSink keeps BenchmarkTLPBestNeighbor's results live.
+var bestNeighborSink int
+
+// BenchmarkTLPBestNeighbor times the neighbour search alone over a warm,
+// full 128-entry RPT holding 128 consecutive pages: every page has up to
+// 128 resident neighbours within the 64-page threshold, so about three
+// quarters of the slots pass the Ref test and reach the popcount.
+func BenchmarkTLPBestNeighbor(b *testing.B) {
+	cfg := DefaultTLPConfig()
+	t := NewTLP(cfg)
+	rng := rand.New(rand.NewSource(1))
+	pages := make([]addr.PageNum, cfg.RPTEntries)
+	for i := range pages {
+		pages[i] = addr.PageNum(1<<20 + i)
+		for k := 0; k < 6; k++ {
+			t.Train(prefetch.Access{Block: pages[i].Block(addr.OffsetOf(0, rng.Intn(16))), Cycle: uint64(i)})
+		}
+	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a := accs[i&(len(accs)-1)]
-		p.Train(a)
-		p.Issue(a)
+		if _, _, ok := t.BestNeighbor(pages[i&(len(pages)-1)]); ok {
+			bestNeighborSink++
+		}
 	}
 }

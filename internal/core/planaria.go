@@ -2,9 +2,9 @@ package core
 
 import (
 	"fmt"
-	mbits "math/bits"
 
 	"repro/internal/addr"
+	"repro/internal/bitmap"
 	"repro/internal/events"
 	"repro/internal/prefetch"
 )
@@ -245,21 +245,16 @@ func (p *Planaria) Peek(a prefetch.Access, dst []addr.BlockNum) []addr.BlockNum 
 		// Union of both sub-prefetchers, deduplicated like IssueTo's
 		// dedupTail (an offset mask; all candidates live in the trigger
 		// page's segment).
-		var seen uint16
+		var seen bitmap.Seg16
 		if !p.cfg.DisableSLP {
 			if pat, ok := p.slp.Pattern(page); ok {
-				rest := uint16(pat.Clear(trigger))
-				seen = rest
-				for v := rest; v != 0; v &= v - 1 {
-					dst = append(dst, page.Block(addr.OffsetOf(ch, mbits.TrailingZeros16(v))))
-				}
+				seen = pat.Clear(trigger)
+				dst = appendBlocks(dst, page, ch, seen)
 			}
 		}
 		if !p.cfg.DisableTLP {
 			if _, transfer, ok := p.tlp.BestNeighbor(page); ok {
-				for v := uint16(transfer) &^ seen; v != 0; v &= v - 1 {
-					dst = append(dst, page.Block(addr.OffsetOf(ch, mbits.TrailingZeros16(v))))
-				}
+				dst = appendBlocks(dst, page, ch, transfer.Minus(seen))
 			}
 		}
 		return dst
@@ -268,19 +263,14 @@ func (p *Planaria) Peek(a prefetch.Access, dst []addr.BlockNum) []addr.BlockNum 
 	// the same priority order as Issue.
 	if !p.cfg.DisableSLP {
 		if pat, ok := p.slp.Pattern(page); ok {
-			if rest := uint16(pat.Clear(trigger)); rest != 0 {
-				for v := rest; v != 0; v &= v - 1 {
-					dst = append(dst, page.Block(addr.OffsetOf(ch, mbits.TrailingZeros16(v))))
-				}
-				return dst
+			if rest := pat.Clear(trigger); rest != 0 {
+				return appendBlocks(dst, page, ch, rest)
 			}
 		}
 	}
 	if !p.cfg.DisableTLP {
 		if _, transfer, ok := p.tlp.BestNeighbor(page); ok {
-			for v := uint16(transfer); v != 0; v &= v - 1 {
-				dst = append(dst, page.Block(addr.OffsetOf(ch, mbits.TrailingZeros16(v))))
-			}
+			dst = appendBlocks(dst, page, ch, transfer)
 		}
 	}
 	return dst

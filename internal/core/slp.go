@@ -32,18 +32,49 @@ func DefaultSLPConfig() SLPConfig {
 	return SLPConfig{FTEntries: 64, ATEntries: 128, PTEntries: 16384, FTPromote: 3, Timeout: 50000}
 }
 
-type ftEntry struct {
-	page  addr.PageNum
-	bits  bitmap.Seg16
-	last  uint64
-	valid bool
+// slpEntry is the payload of one FT or AT slot. The slot's LRU stamp and
+// valid bit live in the table's lruLanes, so the victim searches and the
+// expiry sweep read contiguous lanes instead of striding over entries.
+type slpEntry struct {
+	page addr.PageNum
+	bits bitmap.Seg16
 }
 
-type atEntry struct {
-	page  addr.PageNum
-	bits  bitmap.Seg16
-	last  uint64
-	valid bool
+// lruLanes are a table's per-slot LRU stamps and valid bits, plus the
+// count of valid slots.
+type lruLanes struct {
+	last  []uint64
+	valid []bool
+	live  int
+}
+
+// victim returns the first invalid slot, or else the least recently used
+// one (the lowest slot on ties). The live count says which of the two
+// exists, so either way it is one pass over one lane.
+func (l *lruLanes) victim() int {
+	if l.live < len(l.valid) {
+		for i, ok := range l.valid {
+			if !ok {
+				return i
+			}
+		}
+	}
+	return lruSlot(l.last)
+}
+
+// fill marks slot i valid and stamps it.
+func (l *lruLanes) fill(i int, now uint64) {
+	if !l.valid[i] {
+		l.valid[i] = true
+		l.live++
+	}
+	l.last[i] = now
+}
+
+// free marks valid slot i invalid.
+func (l *lruLanes) free(i int) {
+	l.valid[i] = false
+	l.live--
 }
 
 type ptEntry struct {
@@ -63,15 +94,15 @@ type ptEntry struct {
 // miss whose page hits in PT triggers prefetches for the rest of the
 // snapshot (step 5). The page number is the only signature — no PC.
 type SLP struct {
-	cfg    SLPConfig
-	ft     []ftEntry
-	at     []atEntry
-	pt     []ptEntry
-	ptMask uint64
-	sweep  int // round-robin AT timeout scan position
+	cfg          SLPConfig
+	ft, at       []slpEntry
+	ftLRU, atLRU lruLanes
+	pt           []ptEntry
+	ptMask       uint64
+	sweep        int // round-robin AT timeout scan position
 
 	// Software indices emulating the hardware CAM lookups in O(1). The FT
-	// and AT entry arrays above are the pre-allocated slabs; these
+	// and AT lanes above are the pre-allocated slabs; these
 	// open-addressing indices (allocation-free under churn, unlike Go
 	// maps) find a page's slab slot, so a warm SLP never allocates.
 	ftIdx *hashidx.U64
@@ -114,8 +145,10 @@ func NewSLP(cfg SLPConfig) *SLP {
 	}
 	return &SLP{
 		cfg:    cfg,
-		ft:     make([]ftEntry, cfg.FTEntries),
-		at:     make([]atEntry, cfg.ATEntries),
+		ft:     make([]slpEntry, cfg.FTEntries),
+		at:     make([]slpEntry, cfg.ATEntries),
+		ftLRU:  lruLanes{last: make([]uint64, cfg.FTEntries), valid: make([]bool, cfg.FTEntries)},
+		atLRU:  lruLanes{last: make([]uint64, cfg.ATEntries), valid: make([]bool, cfg.ATEntries)},
 		pt:     make([]ptEntry, n),
 		ptMask: uint64(n - 1),
 		ftIdx:  hashidx.New(cfg.FTEntries),
@@ -128,15 +161,11 @@ func (s *SLP) Name() string { return "slp" }
 
 // Reset implements prefetch.Prefetcher.
 func (s *SLP) Reset() {
-	for i := range s.ft {
-		s.ft[i] = ftEntry{}
-	}
-	for i := range s.at {
-		s.at[i] = atEntry{}
-	}
-	for i := range s.pt {
-		s.pt[i] = ptEntry{}
-	}
+	// Stamps and payloads of invalid slots are never read.
+	clear(s.ftLRU.valid)
+	clear(s.atLRU.valid)
+	s.ftLRU.live, s.atLRU.live = 0, 0
+	clear(s.pt)
 	s.sweep, s.promotions, s.snapshots, s.issues = 0, 0, 0, 0
 	s.ftIdx.Reset()
 	s.atIdx.Reset()
@@ -150,9 +179,8 @@ func (s *SLP) Train(a prefetch.Access) {
 
 	// Step 1: accumulate into an existing AT entry.
 	if i, ok := s.atIdx.Get(uint64(p)); ok {
-		e := &s.at[i]
-		e.bits = e.bits.Set(off)
-		e.last = a.Cycle
+		s.at[i].bits = s.at[i].bits.Set(off)
+		s.atLRU.last[i] = a.Cycle
 		return
 	}
 
@@ -160,39 +188,28 @@ func (s *SLP) Train(a prefetch.Access) {
 	if i, ok := s.ftIdx.Get(uint64(p)); ok {
 		e := &s.ft[i]
 		e.bits = e.bits.Set(off)
-		e.last = a.Cycle
+		s.ftLRU.last[i] = a.Cycle
 		if e.bits.Count() >= s.cfg.FTPromote {
 			s.promote(int(i), a.Cycle)
 		}
 		return
 	}
-	ftIdx := -1
-	for i := range s.ft {
-		if !s.ft[i].valid {
-			ftIdx = i
-			break
-		}
+	// A full FT evicts its stalest entry; sub-threshold snapshots are
+	// dropped (that is the FT's filtering job).
+	i := s.ftLRU.victim()
+	if s.ftLRU.valid[i] {
+		s.ftIdx.Delete(uint64(s.ft[i].page))
 	}
-	if ftIdx == -1 {
-		// Evict the stalest FT entry; sub-threshold snapshots are
-		// dropped (that is the FT's filtering job).
-		ftIdx = 0
-		for i := 1; i < len(s.ft); i++ {
-			if s.ft[i].last < s.ft[ftIdx].last {
-				ftIdx = i
-			}
-		}
-		s.ftIdx.Delete(uint64(s.ft[ftIdx].page))
-	}
-	s.ft[ftIdx] = ftEntry{page: p, bits: bitmap.Seg16(0).Set(off), last: a.Cycle, valid: true}
-	s.ftIdx.Put(uint64(p), int32(ftIdx))
+	s.ft[i] = slpEntry{page: p, bits: bitmap.Seg16(0).Set(off)}
+	s.ftLRU.fill(i, a.Cycle)
+	s.ftIdx.Put(uint64(p), int32(i))
 }
 
 // promote moves FT entry i into the AT (step 3), evicting the stalest AT
 // entry into PT if the AT is full.
 func (s *SLP) promote(i int, now uint64) {
 	f := s.ft[i]
-	s.ft[i] = ftEntry{}
+	s.ftLRU.free(i)
 	s.ftIdx.Delete(uint64(f.page))
 	s.promotions++
 	if s.sink != nil {
@@ -201,25 +218,13 @@ func (s *SLP) promote(i int, now uint64) {
 			Origin: events.OriginSLP, N: uint16(f.bits.Count()),
 		})
 	}
-	atIdx := -1
-	for j := range s.at {
-		if !s.at[j].valid {
-			atIdx = j
-			break
-		}
+	j := s.atLRU.victim()
+	if s.atLRU.valid[j] {
+		s.retire(j)
 	}
-	if atIdx == -1 {
-		atIdx = 0
-		for j := 1; j < len(s.at); j++ {
-			if s.at[j].last < s.at[atIdx].last {
-				atIdx = j
-			}
-		}
-		s.capture(s.at[atIdx])
-		s.atIdx.Delete(uint64(s.at[atIdx].page))
-	}
-	s.at[atIdx] = atEntry{page: f.page, bits: f.bits, last: now, valid: true}
-	s.atIdx.Put(uint64(f.page), int32(atIdx))
+	s.at[j] = f
+	s.atLRU.fill(j, now)
+	s.atIdx.Put(uint64(f.page), int32(j))
 }
 
 // expire scans a few AT entries per call (a hardware-realistic round-robin
@@ -228,27 +233,27 @@ func (s *SLP) expire(now uint64) {
 	const perCall = 4
 	for k := 0; k < perCall; k++ {
 		i := s.sweep
-		s.sweep = (s.sweep + 1) % len(s.at)
-		e := &s.at[i]
-		if e.valid && now > e.last && now-e.last > s.cfg.Timeout {
-			s.capture(*e)
-			s.atIdx.Delete(uint64(e.page))
-			*e = atEntry{}
+		if s.sweep++; s.sweep == len(s.at) {
+			s.sweep = 0
+		}
+		if last := s.atLRU.last[i]; s.atLRU.valid[i] && now > last && now-last > s.cfg.Timeout {
+			s.retire(i)
 		}
 	}
 }
 
-// capture writes a completed snapshot into the PT (step 4).
-func (s *SLP) capture(e atEntry) {
-	if !e.valid || e.bits.Count() == 0 {
-		return
-	}
+// retire frees valid AT slot i, writing its completed snapshot into the PT
+// (step 4). An AT footprint is never empty: promotion needs FTPromote ≥ 1
+// blocks.
+func (s *SLP) retire(i int) {
+	e := s.at[i]
+	s.atLRU.free(i)
+	s.atIdx.Delete(uint64(e.page))
 	s.snapshots++
-	idx := uint64(e.page) & s.ptMask
-	s.pt[idx] = ptEntry{tag: uint64(e.page), bits: e.bits, valid: true}
+	s.pt[uint64(e.page)&s.ptMask] = ptEntry{tag: uint64(e.page), bits: e.bits, valid: true}
 	if s.sink != nil {
 		s.sink.Emit(events.Event{
-			Kind: events.KindSLPSnapshot, Cycle: e.last, Aux: uint64(e.page),
+			Kind: events.KindSLPSnapshot, Cycle: s.atLRU.last[i], Aux: uint64(e.page),
 			Origin: events.OriginSLP, N: uint16(e.bits.Count()),
 		})
 	}
@@ -290,11 +295,17 @@ func (s *SLP) IssueTo(a prefetch.Access, dst []addr.BlockNum) []addr.BlockNum {
 	if rest == 0 {
 		return dst
 	}
-	ch := a.Block.Channel()
-	for v := uint16(rest); v != 0; v &= v - 1 {
+	s.issues++
+	return appendBlocks(dst, p, a.Block.Channel(), rest)
+}
+
+// appendBlocks appends to dst the blocks of page p's channel-ch segment
+// whose offsets are set in seg, iterating the bitmap directly (no Offsets
+// slice).
+func appendBlocks(dst []addr.BlockNum, p addr.PageNum, ch int, seg bitmap.Seg16) []addr.BlockNum {
+	for v := uint16(seg); v != 0; v &= v - 1 {
 		dst = append(dst, p.Block(addr.OffsetOf(ch, bits.TrailingZeros16(v))))
 	}
-	s.issues++
 	return dst
 }
 

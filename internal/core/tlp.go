@@ -1,8 +1,6 @@
 package core
 
 import (
-	"math/bits"
-
 	"repro/internal/addr"
 	"repro/internal/bitmap"
 	"repro/internal/events"
@@ -22,34 +20,33 @@ func DefaultTLPConfig() TLPConfig {
 	return TLPConfig{RPTEntries: 128, DistThreshold: 64, MinCommon: 4}
 }
 
-type rptEntry struct {
-	page  addr.PageNum
-	bits  bitmap.Seg16
-	last  uint64
-	valid bool
-	refs  []bool // refs[j]: entry j is a neighbour of this entry
-}
-
 // TLP is the transfer-learning (inter-page) sub-prefetcher for one channel.
 //
 // Its Recent Page Table (RPT) keeps the footprints of recently observed
-// pages. Each entry carries one "Ref" bit per other entry, set when the two
-// pages are close in page-number space (within DistThreshold). When a page
-// with little history of its own misses, TLP finds its most similar flagged
-// neighbour — largest count of common footprint bits, at least MinCommon —
-// and prefetches the blocks the neighbour accessed that this page has not.
+// pages. In hardware each entry carries one "Ref" bit per other entry, set
+// when the two pages are close in page-number space (within DistThreshold).
+// When a page with little history of its own misses, TLP finds its most
+// similar flagged neighbour — largest count of common footprint bits, at
+// least MinCommon — and prefetches the blocks the neighbour accessed that
+// this page has not.
 //
 // Note: the paper's prose inverts the Ref polarity in one sentence
 // ("difference ... larger than a threshold" → set 1); every other part of
 // Section 4 requires neighbours to be close, so Ref here means "within the
 // distance threshold" (see DESIGN.md).
+//
+// Software layout: the RPT is three struct-of-arrays lanes indexed by slot.
+// Entries are only ever invalidated all at once (Reset), so the valid slots
+// are always the prefix [0, n). A Ref bit is a pure function of two
+// resident pages, so it is not stored: BestNeighbor derives it with one
+// range test per slot, and an allocation does no Ref work at all.
+// StorageBits still counts the hardware's Ref matrix.
 type TLP struct {
-	cfg TLPConfig
-	rpt []rptEntry
-	// refSlab is the single backing array all per-entry Ref rows are sliced
-	// from (one N×N slab instead of N row allocations — the RPT metadata
-	// arena).
-	refSlab []bool
+	cfg   TLPConfig
+	pages []addr.PageNum
+	bits  []bitmap.Seg16
+	last  []uint64 // cycle of the last access, the LRU order
+	n     int      // valid slots: [0, n)
 	// idx is the page → RPT-slot index; open addressing keeps the lookup
 	// allocation-free under entry churn.
 	idx *hashidx.U64
@@ -63,123 +60,115 @@ type TLP struct {
 // SetEventSink installs the decision-event sink (nil disables tracing).
 func (t *TLP) SetEventSink(sk events.Sink) { t.sink = sk }
 
-// NewTLP builds a TLP instance.
+// NewTLP builds a TLP instance; zero fields take DefaultTLPConfig's values.
 func NewTLP(cfg TLPConfig) *TLP {
+	def := DefaultTLPConfig()
 	if cfg.RPTEntries <= 0 {
-		cfg.RPTEntries = 128
+		cfg.RPTEntries = def.RPTEntries
 	}
 	if cfg.DistThreshold == 0 {
-		cfg.DistThreshold = 64
+		cfg.DistThreshold = def.DistThreshold
 	}
 	if cfg.MinCommon <= 0 {
-		cfg.MinCommon = 3
+		cfg.MinCommon = def.MinCommon
 	}
-	t := &TLP{cfg: cfg}
 	n := cfg.RPTEntries
-	t.rpt = make([]rptEntry, n)
-	t.refSlab = make([]bool, n*n)
-	for i := range t.rpt {
-		t.rpt[i].refs = t.refSlab[i*n : (i+1)*n : (i+1)*n]
+	return &TLP{
+		cfg:   cfg,
+		pages: make([]addr.PageNum, n),
+		bits:  make([]bitmap.Seg16, n),
+		last:  make([]uint64, n),
+		idx:   hashidx.New(n),
 	}
-	t.idx = hashidx.New(n)
-	return t
 }
 
 // Name implements prefetch.Prefetcher.
 func (t *TLP) Name() string { return "tlp" }
 
-// Reset implements prefetch.Prefetcher.
+// Reset implements prefetch.Prefetcher. Slots past n are never read, so
+// emptying the valid prefix is enough.
 func (t *TLP) Reset() {
-	for i := range t.rpt {
-		e := &t.rpt[i]
-		e.page, e.bits, e.last, e.valid = 0, 0, 0, false
-		for j := range e.refs {
-			e.refs[j] = false
-		}
-	}
+	t.n = 0
 	t.idx.Reset()
 	t.issues = 0
 }
 
 // Train implements prefetch.Prefetcher (the TLP learning phase): record the
-// block in the page's RPT footprint, allocating an entry and recomputing its
-// Ref bits on first sight.
+// block in the page's RPT footprint, allocating an entry on first sight —
+// the next free slot, or else the least recently used one.
 func (t *TLP) Train(a prefetch.Access) {
 	p := a.Page()
 	off := a.Block.SegOffset()
 	if i, ok := t.idx.Get(uint64(p)); ok {
-		e := &t.rpt[i]
-		e.bits = e.bits.Set(off)
-		e.last = a.Cycle
+		t.bits[i] = t.bits[i].Set(off)
+		t.last[i] = a.Cycle
 		return
 	}
-	i := t.allocate()
-	e := &t.rpt[i]
-	if e.valid {
-		t.idx.Delete(uint64(e.page))
+	i := t.n
+	if i < len(t.pages) {
+		t.n++
+	} else {
+		i = lruSlot(t.last)
+		t.idx.Delete(uint64(t.pages[i]))
 	}
-	e.page = p
-	e.bits = bitmap.Seg16(0).Set(off)
-	e.last = a.Cycle
-	e.valid = true
+	t.pages[i] = p
+	t.bits[i] = bitmap.Seg16(0).Set(off)
+	t.last[i] = a.Cycle
 	t.idx.Put(uint64(p), int32(i))
-	// Recompute the Ref bits between the new entry and every other valid
-	// entry (the hardware sets these with one comparator per entry).
-	for j := range t.rpt {
-		if j == i {
-			e.refs[j] = false
-			continue
-		}
-		o := &t.rpt[j]
-		near := o.valid && p.Distance(o.page) <= t.cfg.DistThreshold
-		e.refs[j] = near
-		o.refs[i] = near
-	}
 }
 
-// allocate returns the RPT slot for a new page: an invalid slot if one
-// exists, otherwise the least recently used.
-func (t *TLP) allocate() int {
-	lru := 0
-	for i := range t.rpt {
-		if !t.rpt[i].valid {
+// lruSlot returns the slot with the smallest stamp, the lowest slot on ties.
+// The minimum comes from four interleaved running minima, so the compares
+// do not wait on each other; a second pass finds its first slot.
+func lruSlot(last []uint64) int {
+	m0, m1, m2, m3 := ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)
+	rest := last
+	for ; len(rest) >= 4; rest = rest[4:] {
+		m0, m1, m2, m3 = min(m0, rest[0]), min(m1, rest[1]), min(m2, rest[2]), min(m3, rest[3])
+	}
+	for _, c := range rest {
+		m0 = min(m0, c)
+	}
+	least := min(m0, m1, m2, m3)
+	for i, c := range last {
+		if c == least {
 			return i
 		}
-		if t.rpt[i].last < t.rpt[lru].last {
-			lru = i
-		}
 	}
-	return lru
+	return 0
 }
 
 // BestNeighbor returns the most similar flagged neighbour entry of page p
 // and the blocks it would transfer (neighbour minus self), or ok=false.
+// Slot j's Ref bit is |pages[j] − p| ≤ DistThreshold, tested as one
+// unsigned compare against the window [lo, lo+span], which saturates at
+// both ends of the page space; p's own slot is excluded explicitly.
 func (t *TLP) BestNeighbor(p addr.PageNum) (neighbor addr.PageNum, transfer bitmap.Seg16, ok bool) {
 	i, exists := t.idx.Get(uint64(p))
 	if !exists {
 		return 0, 0, false
 	}
-	self := &t.rpt[i]
-	best := -1
-	bestCommon := t.cfg.MinCommon - 1
-	for j := range t.rpt {
-		if !self.refs[j] || !t.rpt[j].valid {
+	thr := addr.PageNum(t.cfg.DistThreshold)
+	lo, span := p-min(p, thr), min(p, thr)+min(^p, thr)
+	pages, fps := t.pages[:t.n], t.bits[:t.n]
+	self := fps[i]
+	best, bestCommon := -1, t.cfg.MinCommon-1
+	for j, q := range pages {
+		if q-lo > span || j == int(i) {
 			continue
 		}
-		c := self.bits.Common(t.rpt[j].bits)
-		if c > bestCommon {
-			bestCommon = c
-			best = j
+		if c := self.Common(fps[j]); c > bestCommon {
+			best, bestCommon = j, c
 		}
 	}
 	if best == -1 {
 		return 0, 0, false
 	}
-	tr := t.rpt[best].bits.Minus(self.bits)
+	tr := fps[best].Minus(self)
 	if tr == 0 {
 		return 0, 0, false
 	}
-	return t.rpt[best].page, tr, true
+	return pages[best], tr, true
 }
 
 // Issue implements prefetch.Prefetcher (the TLP issuing phase): on a demand
@@ -200,10 +189,7 @@ func (t *TLP) IssueTo(a prefetch.Access, dst []addr.BlockNum) []addr.BlockNum {
 	if !ok {
 		return dst
 	}
-	ch := a.Block.Channel()
-	for v := uint16(transfer); v != 0; v &= v - 1 {
-		dst = append(dst, p.Block(addr.OffsetOf(ch, bits.TrailingZeros16(v))))
-	}
+	dst = appendBlocks(dst, p, a.Block.Channel(), transfer)
 	t.issues++
 	if t.sink != nil {
 		t.sink.Emit(events.Event{
@@ -219,8 +205,9 @@ func (t *TLP) Issues() uint64 { return t.issues }
 
 // StorageBits implements prefetch.Prefetcher: each RPT entry holds a page
 // tag (36 b), a 16-bit bitmap, a 16-bit timestamp, a valid bit and N−1
-// useful Ref bits (Section 4.2).
+// useful Ref bits (Section 4.2) — the hardware layout, which stores the Ref
+// bits the software derives.
 func (t *TLP) StorageBits() int {
-	n := len(t.rpt)
+	n := len(t.pages)
 	return n * (36 + 16 + 16 + 1 + (n - 1))
 }

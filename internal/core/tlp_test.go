@@ -147,16 +147,49 @@ func TestTLPEvictionRecyclesLRU(t *testing.T) {
 }
 
 func TestTLPRefBitsSymmetric(t *testing.T) {
+	// The Ref relation is symmetric: two pages within the threshold each
+	// find the other as their neighbour, each transferring its surplus.
 	tl := NewTLP(DefaultTLPConfig())
-	trainPage(tl, 0x100, []int{1}, 0)
-	trainPage(tl, 0x101, []int{1}, 10)
-	i, _ := tl.idx.Get(0x100)
-	j, _ := tl.idx.Get(0x101)
-	if !tl.rpt[i].refs[j] || !tl.rpt[j].refs[i] {
-		t.Fatal("Ref bits not symmetric for neighbours")
+	trainPage(tl, 0x100, []int{1, 2, 3, 4, 5}, 0)
+	trainPage(tl, 0x101, []int{1, 2, 3, 4, 6}, 10)
+	if nb, tr, ok := tl.BestNeighbor(0x100); !ok || nb != 0x101 || tr != bitmap.Seg16(0).Set(6) {
+		t.Fatalf("BestNeighbor(0x100) = (%#x, %s, %v), want (0x101, block 6)", uint64(nb), tr, ok)
 	}
-	if tl.rpt[i].refs[i] {
-		t.Fatal("self-reference set")
+	if nb, tr, ok := tl.BestNeighbor(0x101); !ok || nb != 0x100 || tr != bitmap.Seg16(0).Set(5) {
+		t.Fatalf("BestNeighbor(0x101) = (%#x, %s, %v), want (0x100, block 5)", uint64(nb), tr, ok)
+	}
+}
+
+func TestTLPLonePageIsNotItsOwnNeighbor(t *testing.T) {
+	// A page is at distance 0 from itself and shares all its bits, so a
+	// self Ref bit would make it its own best neighbour — with nothing to
+	// transfer, hiding every real neighbour. A lone page has no neighbour.
+	cfg := DefaultTLPConfig()
+	cfg.MinCommon = 1
+	tl := NewTLP(cfg)
+	trainPage(tl, 0x100, []int{1, 2, 3, 4, 5, 6}, 0)
+	if nb, _, ok := tl.BestNeighbor(0x100); ok {
+		t.Fatalf("lone page 0x100 found neighbour %#x", uint64(nb))
+	}
+	// With a real neighbour resident, self must not shadow it.
+	trainPage(tl, 0x101, []int{1, 7}, 10)
+	if nb, _, ok := tl.BestNeighbor(0x100); !ok || nb != 0x101 {
+		t.Fatalf("BestNeighbor(0x100) = (%#x, %v), want 0x101", uint64(nb), ok)
+	}
+}
+
+func TestTLPZeroMinCommonDefaultsToFour(t *testing.T) {
+	// The zero-value config takes DefaultTLPConfig's MinCommon of 4, so a
+	// neighbour sharing exactly three blocks is not trusted.
+	tl := NewTLP(TLPConfig{})
+	trainPage(tl, 0x100, []int{1, 2, 3, 7, 8}, 0)
+	trainPage(tl, 0x101, []int{1, 2, 3}, 100) // exactly 3 common bits
+	if nb, _, ok := tl.BestNeighbor(0x101); ok {
+		t.Fatalf("3-bit match with %#x accepted under the default MinCommon", uint64(nb))
+	}
+	trainPage(tl, 0x101, []int{7}, 200) // now 4 common bits
+	if _, _, ok := tl.BestNeighbor(0x101); !ok {
+		t.Fatal("4-bit match rejected under the default MinCommon")
 	}
 }
 
